@@ -39,7 +39,6 @@ from .decomposition import (
     convergence_dt_max,
     finite_difference_bound,
     generate_terms,
-    term_to_json,
     glynn_kan_operator_expectation,
     recombine,
     richardson_extrapolate,

@@ -1,9 +1,10 @@
 """Classical permanent evaluators.
 
-Exact routes: naive permutation sum, Gray-code Ryser, Gray-code Glynn, the
-double-sign-vector Glynn-Kan form (and its complex binomial expansion), and
-the GapP split of a real permanent into two nonnegative sums.  Randomized
-route: the Gurvits additive-error sampler.
+Exact routes: naive permutation sum, Ryser, Glynn, the double-sign-vector
+Glynn-Kan form (and its complex binomial expansion), and the GapP split of a
+real permanent into two nonnegative sums.  All but the naive sum are short
+reductions over one blocked walk of the sign-vector cube (_sign_blocks).
+Randomized route: the Gurvits additive-error sampler.
 
 The exact evaluators double as oracles for the quantum protocol tests.
 """
@@ -16,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .accumulate import KahanSum, gray_flips
+from .accumulate import KahanSum, block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
 from .matrices import as_matrix, sign_matrix
 
@@ -74,30 +75,56 @@ def permanent_naive(a) -> PermanentEstimate:
                              error_bound=0.0, wall_terms=count)
 
 
-def permanent_ryser(a) -> PermanentEstimate:
-    """Ryser inclusion-exclusion over column subsets, Gray-code ordered.
+# Byte budget for one block of sign-vector rows and the per-row temporaries a
+# reduction builds from it; keeps memory flat in N up to every cap.
+_BLOCK_BYTES = 1 << 20
 
-    Each Gray step updates the N running row sums in O(N), for O(N 2^N)
-    total work over the 2^N - 1 nonempty subsets.
+
+def _sign_blocks(w: np.ndarray, row_bytes: int):
+    """Yield (par(X), X @ w) over all 2^n sign vectors X, 2^k rows at a time.
+
+    The low k bits of the sign-vector index form one block, built once; each
+    block adds the signed sum of w's rows for its high bits.  row_bytes is
+    what the caller materialises per sign vector; k is the largest that keeps
+    2^k such rows within _BLOCK_BYTES.
+    """
+    n = w.shape[0]
+    k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
+    low = sign_matrix(k)
+    low_par = low.prod(axis=1)
+    low_w = low @ w[:k]
+    high_w = w[k:]
+    high_bits = np.arange(n - k)
+    for h in range(1 << (n - k)):
+        signs = 1.0 - 2.0 * ((h >> high_bits) & 1)
+        yield low_par * signs.prod(), low_w + signs @ high_w
+
+
+def _entries(m) -> np.ndarray:
+    return m.real_part if m.is_real else m.array
+
+
+def _signed_row_product_sum(w: np.ndarray, shift) -> complex:
+    """Sum over sign vectors x of par(x) * prod_j (shift + x @ w)_j."""
+    acc = KahanSum(0.0)
+    for par, rows in _sign_blocks(w, 2 * w.itemsize * w.shape[1]):
+        acc.add(block_sum(par * (shift + rows).prod(axis=1)))
+    return complex(acc.total)
+
+
+def permanent_ryser(a) -> PermanentEstimate:
+    """Ryser inclusion-exclusion over column subsets.
+
+    A subset is the 0/1 vector v = (1 - x)/2 of a sign vector x, so its row
+    sums are (A 1 - A x)/2 and the sign (-1)^|v| is par(x): the sum runs over
+    the same blocked sign-vector walk as Glynn, O(N 2^N) work in total.
     """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _RYSER_MAX_N, "permanent_ryser")
-    arr = m.array
-    row_sums = np.zeros(n, dtype=np.complex128)
-    acc = KahanSum(0j)
-    size = 0
-    for bit, now_set in gray_flips(n):
-        if now_set:
-            row_sums += arr[:, bit]
-            size += 1
-        else:
-            row_sums -= arr[:, bit]
-            size -= 1
-        term = complex(np.prod(row_sums))
-        acc.add(term if size % 2 == 0 else -term)
-    value = acc.total * (-1) ** n
-    return PermanentEstimate(value=complex(value), method="ryser",
+    arr = _entries(m)
+    value = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1))
+    return PermanentEstimate(value=value, method="ryser",
                              error_bound=0.0, wall_terms=(1 << n) - 1)
 
 
@@ -106,86 +133,65 @@ def permanent_glynn(a) -> PermanentEstimate:
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _GLYNN_MAX_N, "permanent_glynn")
-    arr = m.array
-    x = np.ones(n)
-    dots = arr.sum(axis=1).astype(np.complex128)  # A_j . x at x = (1,..,1)
-    parity = 1.0
-    acc = KahanSum(0j)
-    acc.add(complex(np.prod(dots)))
-    for bit, _ in gray_flips(n):
-        old = x[bit]
-        x[bit] = -old
-        dots -= 2.0 * old * arr[:, bit]
-        parity = -parity
-        acc.add(parity * complex(np.prod(dots)))
-    return PermanentEstimate(value=complex(acc.total / (1 << n)), method="glynn",
+    arr = _entries(m)
+    value = _signed_row_product_sum(arr.T, 0.0) / (1 << n)
+    return PermanentEstimate(value=value, method="glynn",
                              error_bound=0.0, wall_terms=1 << n)
 
 
-def _glynn_kan_real(arr: np.ndarray, n: int) -> complex:
+def _glynn_kan_sums(arr: np.ndarray) -> tuple[float, float]:
+    """Pair sums over sign vectors (x, x') of par(x) par(x') q^N and of q^N,
+    with q = x'^T A x for a real matrix A.
+
+    Each x' row's signed inner sum over x is formed pairwise first; the rows
+    of a block are then summed correctly rounded and blocks Kahan-summed.
+    """
+    n = arr.shape[0]
     s = sign_matrix(n)
     par_x = s.prod(axis=1)
-    xp = np.ones(n)
-    u = arr.sum(axis=0).copy()  # x'^T A at x' = (1,..,1)
-    par_xp = 1.0
-    acc = KahanSum(0.0)
-    acc.add(float(par_x @ (s @ u) ** n))
-    for bit, _ in gray_flips(n):
-        old = xp[bit]
-        xp[bit] = -old
-        u -= 2.0 * old * arr[bit, :]
-        par_xp = -par_xp
-        acc.add(par_xp * float(par_x @ (s @ u) ** n))
-    return complex(acc.total / (math.factorial(n) * 4**n))
+    signed = KahanSum(0.0)
+    total = KahanSum(0.0)
+    for par_xp, u in _sign_blocks(arr, 16 << n):  # two 2^N-wide float rows
+        qn = (u @ s.T) ** n
+        signed.add(block_sum(par_xp * (qn * par_x).sum(axis=1)))
+        total.add(block_sum(qn.sum(axis=1)))
+    return signed.total, total.total
 
 
-def _glynn_kan_complex(b: np.ndarray, c: np.ndarray, n: int) -> complex:
+def _glynn_kan_complex(b: np.ndarray, c: np.ndarray) -> complex:
     # Binomial-in-l expansion: sum_l i^l C(N,l) (x'^T B x)^{N-l} (x'^T C x)^l.
+    n = b.shape[0]
     s = sign_matrix(n)
     par_x = s.prod(axis=1)
-    binom = [math.comb(n, l) for l in range(n + 1)]
-    phase = [1j**l for l in range(n + 1)]
-    xp = np.ones(n)
-    ub = b.sum(axis=0).copy()
-    uc = c.sum(axis=0).copy()
-    par_xp = 1.0
-
-    def inner() -> complex:
-        qb = s @ ub
-        qc = s @ uc
-        tot = 0j
-        for l in range(n + 1):
-            tot += phase[l] * binom[l] * float(par_x @ (qb ** (n - l) * qc**l))
-        return par_xp * tot
-
+    weights = [1j**l * math.comb(n, l) for l in range(n + 1)]
     acc = KahanSum(0j)
-    acc.add(inner())
-    for bit, _ in gray_flips(n):
-        old = xp[bit]
-        xp[bit] = -old
-        ub -= 2.0 * old * b[bit, :]
-        uc -= 2.0 * old * c[bit, :]
-        par_xp = -par_xp
-        acc.add(inner())
-    return complex(acc.total / (math.factorial(n) * 4**n))
+    # qb, qc and up to three binomial-term temporaries, all 2^N-wide float rows
+    for par_xp, u in _sign_blocks(np.hstack([b, c]), 40 << n):
+        qb = u[:, :n] @ s.T
+        qc = u[:, n:] @ s.T
+        rows = sum(w * (qb ** (n - l) * qc**l * par_x).sum(axis=1)
+                   for l, w in enumerate(weights))
+        acc.add(block_sum(par_xp * rows))
+    return complex(acc.total)
 
 
 def permanent_glynn_kan(a) -> PermanentEstimate:
     """Glynn-Kan double-sign-vector average of N-th powers of x'^T A x.
 
-    Real input evaluates the 4^N pair sum directly (Gray-code outer loop on
-    x' with incremental x'^T A updates, vectorized inner sum over x); complex
-    input uses the equivalent binomial expansion over B and C parts, which is
-    the form the quantum protocol mirrors.
+    Real input evaluates the 4^N pair sum directly (blocked walk over x',
+    vectorized inner sum over x); complex input uses the equivalent binomial
+    expansion over B and C parts, which is the form the quantum protocol
+    mirrors.
     """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _GLYNN_KAN_MAX_N, "permanent_glynn_kan")
+    scale = math.factorial(n) * 4**n
     if m.is_real:
-        value = _glynn_kan_real(m.real_part, n)
-        return PermanentEstimate(value=value, method="glynn_kan",
+        signed, _ = _glynn_kan_sums(m.real_part)
+        return PermanentEstimate(value=complex(signed / scale), method="glynn_kan",
                                  error_bound=0.0, wall_terms=4**n)
-    value = _glynn_kan_complex(m.real_part, m.imag_part, n)
+    value = _glynn_kan_complex(m.real_part, m.imag_part) / scale
     return PermanentEstimate(value=value, method="glynn_kan_complex",
                              error_bound=0.0, wall_terms=(n + 1) * 4**n)
 
@@ -193,59 +199,32 @@ def permanent_glynn_kan(a) -> PermanentEstimate:
 def permanent_gapp(b) -> PermanentEstimate:
     """Real permanent as a difference of two nonnegative sums.
 
-    Splits the Glynn-Kan pair sum by the relative parity of (x, x'); for even
-    N both partial sums are nonnegative.  Odd dimensions are first padded by
-    a direct sum with the scalar 1, which leaves the permanent unchanged.
+    Splits the Glynn-Kan pair sum by the relative parity of (x, x'):
+    S+- = (total +- signed) / 2; for even N both are nonnegative.  The value
+    is the signed sum itself, which rounds better than the difference
+    S+ - S-.  Odd dimensions are first padded by a direct sum with the
+    scalar 1, which leaves the permanent unchanged.
     """
     m = as_matrix(b)
     if not m.is_real:
         raise InvalidInputError("permanent_gapp requires a real matrix")
     n = m.n
     _check_cap(n, _GAPP_MAX_N, "permanent_gapp")
-    arr = m.real_part.copy()
+    arr = m.real_part
     padded = n % 2 == 1
     if padded:
         arr = np.pad(arr, ((0, 1), (0, 1)))
         arr[n, n] = 1.0
     np2 = arr.shape[0]
-
-    s = sign_matrix(np2)
-    par_x = s.prod(axis=1)
-    pos = par_x > 0
-    xp = np.ones(np2)
-    u = arr.sum(axis=0).copy()
-    par_xp = 1.0
-    s_plus = KahanSum(0.0)
-    s_minus = KahanSum(0.0)
-
-    def absorb() -> None:
-        qn = (s @ u) ** np2
-        same = float(qn[pos].sum())
-        diff = float(qn[~pos].sum())
-        if par_xp > 0:
-            s_plus.add(same)
-            s_minus.add(diff)
-        else:
-            s_plus.add(diff)
-            s_minus.add(same)
-
-    absorb()
-    for bit, _ in gray_flips(np2):
-        old = xp[bit]
-        xp[bit] = -old
-        u -= 2.0 * old * arr[bit, :]
-        par_xp = -par_xp
-        absorb()
-
+    signed, total = _glynn_kan_sums(arr)
     scale = math.factorial(np2) * 4**np2
-    sp = s_plus.total / scale
-    sm = s_minus.total / scale
     return PermanentEstimate(
-        value=complex(sp - sm),
+        value=complex(signed / scale),
         method="gapp",
         error_bound=0.0,
         wall_terms=4**np2,
-        extra={"s_plus": sp, "s_minus": sm, "padded": padded},
+        extra={"s_plus": (total + signed) / 2 / scale,
+               "s_minus": (total - signed) / 2 / scale, "padded": padded},
     )
 
 
@@ -265,9 +244,7 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
 
     if exhaustive:
         _check_cap(n, _GLYNN_MAX_N, "permanent_gurvits(exhaustive)")
-        x = sign_matrix(n)
-        vals = x.prod(axis=1) * (x @ arr.T).prod(axis=1)
-        value = complex(vals.mean())
+        value = permanent_glynn(m).value
         return PermanentEstimate(value=value, method="gurvits", error_bound=0.0,
                                  samples_used=1 << n, wall_terms=1 << n,
                                  extra={"stderr": 0.0, "exhaustive": True})

@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--manifest", help="write a reproducibility manifest to this path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (the current implementation is single-threaded)")
 
     p = sub.add_parser("compute", help="classical permanent of a matrix file")
     p.add_argument("--input", required=True, help="matrix JSON file")
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", action="store_true")
     p.add_argument("--format", choices=("json", "csv", "table"), default="csv")
     p.add_argument("--manifest")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_resources)
 
     p = sub.add_parser("advantage", help="Q(N) advantage-domain ratio CSV")
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", nargs=2, metavar=("TRIALS", "SEED"),
                    help="append Gaussian-ensemble case-label frequencies")
     p.add_argument("--manifest")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_advantage)
 
     p = sub.add_parser("generate", help="write a random Gaussian matrix file")
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("gaussian-stat", help="Monte-Carlo Ising-norm statistic")

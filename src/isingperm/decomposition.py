@@ -215,18 +215,6 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     return terms
 
 
-def term_to_json(term: OverlapTerm) -> dict:
-    """Debug serialization of one term."""
-    from .matrices import matrix_to_json
-
-    return {
-        "indices": list(term.indices),
-        "weight": [term.weight.real, term.weight.imag],
-        "uses_conjugate_pair": term.uses_conjugate_pair,
-        "shifted_matrix": matrix_to_json(term.matrix),
-    }
-
-
 # --- error remainder of the finite difference ---------------------------------
 
 

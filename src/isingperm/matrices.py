@@ -76,32 +76,12 @@ class MatrixNorms:
     ising_norm: float
 
 
-def _two_norm_iterative(arr: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest singular value by power iteration on A^H A."""
-    gram = arr.conj().T @ arr
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(arr.shape[0]) + 1j * rng.standard_normal(arr.shape[0])
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= 0.01 * tol * lam:
-            break
-        prev = lam
-    return math.sqrt(lam)
-
-
 def norms(a) -> MatrixNorms:
     """All three norms of a square matrix."""
     arr = as_matrix(a).array
     absa = np.abs(arr)
     return MatrixNorms(
-        two_norm=_two_norm_iterative(arr),
+        two_norm=float(np.linalg.norm(arr, 2)),
         one_norm=float(absa.sum(axis=0).max()),
         ising_norm=float(absa.sum()),
     )

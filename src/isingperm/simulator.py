@@ -20,9 +20,6 @@ _MAX_QUBITS = 26
 _OVERLAP_MAX_N = 13
 _THETA_ELISION = 1e-15
 
-_GATE_ARITY = {"H": 1, "SDG": 1, "X": 1, "RZ": 1, "CNOT": 2, "RZZ": 2, "CRZ": 2, "CRZZ": 3}
-_GATE_HAS_THETA = {"RZ", "RZZ", "CRZ", "CRZZ"}
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -89,32 +86,6 @@ class QuantumCircuit:
                 busy[q] = layer
             depth = max(depth, layer)
         return depth
-
-    def dumps(self) -> str:
-        lines = [f"QUBITS {self.num_qubits}"]
-        for g in self.gates:
-            parts = [g.name] + [str(q) for q in g.qubits]
-            if g.theta is not None:
-                parts.append(repr(g.theta))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "QuantumCircuit":
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        if not lines or not lines[0].startswith("QUBITS "):
-            raise InvalidInputError("circuit dump must start with a QUBITS header line")
-        circ = cls(num_qubits=int(lines[0].split()[1]))
-        for ln in lines[1:]:
-            parts = ln.split()
-            name = parts[0].upper()
-            if name not in _GATE_ARITY:
-                raise InvalidInputError(f"unknown gate {name!r}")
-            arity = _GATE_ARITY[name]
-            qubits = tuple(int(p) for p in parts[1 : 1 + arity])
-            theta = float(parts[1 + arity]) if name in _GATE_HAS_THETA else None
-            circ._add(name, qubits, theta)
-        return circ
 
 
 def _require_real(m) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,82 @@ def test_exact_methods_match_oracle_real(n):
     for method in EXACT_METHODS + [permanent_gapp]:
         got = method(a).value
         assert abs(got - expected) / scale < 1e-9, method.__name__
+
+
+U = 2.0**-53
+
+
+def _sign_cube(n):
+    idx = np.arange(1 << n)
+    return 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
+
+
+def exact_integer_permanent(a):
+    """Ryser over all column subsets: int64 row sums, Python-int products.
+
+    Entries are Gaussian integers; returns the exact permanent as a
+    (real, imag) pair of Python ints.
+    """
+    re = np.rint(np.real(a)).astype(np.int64)
+    im = np.rint(np.imag(a)).astype(np.int64)
+    n = re.shape[0]
+    subsets = (1 - _sign_cube(n)) // 2
+    total_re = total_im = 0
+    for v, sums_re, sums_im in zip(subsets, (subsets @ re.T).tolist(),
+                                   (subsets @ im.T).tolist()):
+        p_re, p_im = 1, 0
+        for x, y in zip(sums_re, sums_im):
+            p_re, p_im = p_re * x - p_im * y, p_re * y + p_im * x
+        sign = -1 if (n - int(v.sum())) % 2 else 1
+        total_re += sign * p_re
+        total_im += sign * p_im
+    return total_re, total_im
+
+
+def _abs_term_sum(kernel, a):
+    """Sum of |terms| of each kernel's own formula, at its normalisation."""
+    n = a.shape[0]
+    if kernel == "ryser":
+        subsets = (1 - _sign_cube(n)) // 2
+        return np.abs(subsets @ a.T).prod(axis=1).sum()
+    if kernel == "glynn":
+        return np.abs(_sign_cube(n) @ a.T).prod(axis=1).sum() / 2**n
+    if kernel == "gapp" and n % 2:
+        a = np.pad(a, ((0, 1), (0, 1)))
+        a[n, n] = 1.0
+        n += 1
+    s = _sign_cube(n)
+    q = np.abs(s @ a.real @ s.T) + np.abs(s @ a.imag @ s.T)
+    return (q**n).sum() / (math.factorial(n) * 4**n)
+
+
+# At the 1 MiB block budget these sizes make every sign-vector walk span
+# several blocks.
+@pytest.mark.parametrize("kernel, n, complex_", [
+    ("ryser", 14, False), ("ryser", 13, True),
+    ("glynn", 14, False), ("glynn", 13, True),
+    ("glynn_kan", 9, False), ("glynn_kan", 10, False), ("glynn_kan", 8, True),
+    ("gapp", 9, False), ("gapp", 10, False),
+])
+def test_exact_methods_match_integer_oracle(kernel, n, complex_):
+    rng = np.random.default_rng(n + 100 * complex_)
+    method = {"ryser": permanent_ryser, "glynn": permanent_glynn,
+              "glynn_kan": permanent_glynn_kan, "gapp": permanent_gapp}[kernel]
+    for _ in range(3):
+        a = rng.integers(-3, 4, (n, n)).astype(float)
+        if complex_:
+            a = a + 1j * rng.integers(-3, 4, (n, n))
+        want_re, want_im = exact_integer_permanent(a)
+        got = method(a).value
+        err = math.hypot(float(Fraction(got.real) - want_re), float(Fraction(got.imag) - want_im))
+        assert err <= 16 * U * _abs_term_sum(kernel, a), (kernel, n, complex_)
+
+
+def test_overflow_gives_nonfinite_value():
+    a = np.full((3, 3), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for method in (permanent_ryser, permanent_glynn, permanent_glynn_kan):
+            assert not np.isfinite(method(a).value), method.__name__
 
 
 def test_known_values():

@@ -20,7 +20,6 @@ from isingperm import (
     run_protocol,
     select_dt,
     shot_overlap_evaluator,
-    term_to_json,
 )
 
 
@@ -179,13 +178,6 @@ def test_time_reversal_overlap_conjugation():
         o1 = overlap_exact(by_l[l].matrix.array, dt / 2.0).value
         o2 = overlap_exact(by_l[3 - l].matrix.array, dt / 2.0).value
         assert o2 == pytest.approx(-np.conj(o1), abs=1e-12)
-
-
-def test_term_json_round_trippable_fields():
-    a = small_matrix(2, 6)
-    cfg = ProtocolConfig(dt=safe_dt(a))
-    obj = term_to_json(generate_terms(a, cfg)[0])
-    assert set(obj) == {"indices", "weight", "uses_conjugate_pair", "shifted_matrix"}
 
 
 # --- full protocol -----------------------------------------------------------

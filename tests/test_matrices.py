@@ -28,12 +28,23 @@ def test_single_entry_norms():
     assert res.ising_norm == 2.0
 
 
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
 def test_two_norm_matches_svd_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         expected = np.linalg.svd(a, compute_uv=False)[0]
-        assert norms(a).two_norm == pytest.approx(expected, rel=1e-9)
+        assert norms(a).two_norm == pytest.approx(expected, rel=1e-12)
+    # Top two singular values 1e-5 apart relative to the norm: power iteration converges slowly
+    # from below here, and the 2-norm enters the Gurvits bound as ||A||^N.
+    for _ in range(20):
+        sv = np.array([2.0, 2.0 - 2e-5, 1.0, 0.5, 0.25, 0.125])
+        a = _unitary(rng, 6) @ np.diag(sv) @ _unitary(rng, 6).conj().T
+        assert norms(a).two_norm == pytest.approx(sv[0], rel=1e-12)
 
 
 def test_norm_interval_invariants():

@@ -206,14 +206,6 @@ def test_hoeffding_validation():
         hoeffding_shots(0.1, 1.5)
 
 
-def test_circuit_dump_round_trip():
-    circ = build_hadamard_test(np.ones((2, 2)) * 0.3, 0.25, measure_imag=True)
-    text = circ.dumps()
-    back = QuantumCircuit.loads(text)
-    assert back.num_qubits == circ.num_qubits
-    assert back.gates == circ.gates
-
-
 def test_depth_simple():
     circ = QuantumCircuit(3)
     circ.h(0)
