@@ -1,4 +1,5 @@
-"""Square complex matrices, their norms, random ensembles, and JSON I/O."""
+"""Square complex matrices, their norms, the sign-vector cube and its blocked
+walk, random ensembles, and JSON I/O."""
 
 from __future__ import annotations
 
@@ -92,6 +93,31 @@ def sign_matrix(n: int) -> np.ndarray:
     idx = np.arange(1 << n)
     bits = (idx[:, None] >> np.arange(n)) & 1
     return 1.0 - 2.0 * bits
+
+
+# Byte budget for one block of sign-vector rows and the per-row temporaries a
+# reduction builds from it; keeps memory flat in N up to every cap.
+_BLOCK_BYTES = 1 << 20
+
+
+def sign_blocks(w: np.ndarray, row_bytes: int):
+    """Yield (par(X), X @ w) over all 2^n sign vectors X, 2^k rows at a time.
+
+    The low k bits of the sign-vector index form one block, built once; each
+    block adds the signed sum of w's rows for its high bits.  row_bytes is
+    what the caller materialises per sign vector; k is the largest that keeps
+    2^k such rows within _BLOCK_BYTES.
+    """
+    n = w.shape[0]
+    k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
+    low = sign_matrix(k)
+    low_par = low.prod(axis=1)
+    low_w = low @ w[:k]
+    high_w = w[k:]
+    high_bits = np.arange(n - k)
+    for h in range(1 << (n - k)):
+        signs = 1.0 - 2.0 * ((h >> high_bits) & 1)
+        yield low_par * signs.prod(), low_w + signs @ high_w
 
 
 def ising_diag_spectral_norm(a) -> float:

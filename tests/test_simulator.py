@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from isingperm import (
+    DimensionTooLargeError,
     InvalidInputError,
     OverlapResult,
+    ProtocolConfig,
     QuantumCircuit,
     ancilla_probability_zero,
     build_hadamard_test,
@@ -11,8 +15,12 @@ from isingperm import (
     hoeffding_shots,
     overlap_exact,
     overlap_shots,
+    permanent_ryser,
+    richardson_extrapolate,
+    select_dt,
     simulate_statevector,
 )
+from isingperm import matrices, simulator
 
 
 def dense_unitary(circuit):
@@ -227,3 +235,68 @@ def test_overlap_result_value():
     res = OverlapResult(real_part=0.25, imag_part=-0.5, variance_estimate=0.0,
                         shots_used=0, mode="exact_overlap")
     assert res.value == 0.25 - 0.5j
+
+
+def pair_sum_overlap(m, dt_half):
+    # oracle: mean of exp(-i dt_half x'^T M x) over all 4^N sign-vector pairs
+    n = m.shape[0]
+    idx = np.arange(1 << n)
+    s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+    return complex(np.exp(-1j * dt_half * (s @ m @ s.T)).sum()) / 4**n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_overlap_exact_matches_pair_sum_oracle(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(3):
+        m = rng.standard_normal((n, n))
+        dt_half = rng.uniform(0.05, 2.0)
+        res = overlap_exact(m, dt_half)
+        assert res.imag_part == 0.0
+        assert abs(res.value - pair_sum_overlap(m, dt_half)) <= 1e-14
+
+
+def test_overlap_exact_spans_blocks(monkeypatch):
+    # 4 KiB of 112-byte rows holds 2^5 sign vectors, so N = 7 walks 4 blocks
+    monkeypatch.setattr(matrices, "_BLOCK_BYTES", 1 << 12)
+    blocks = []
+
+    def counted(w, row_bytes):
+        for block in matrices.sign_blocks(w, row_bytes):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(simulator, "sign_blocks", counted)
+    rng = np.random.default_rng(79)
+    m = rng.standard_normal((7, 7))
+    res = overlap_exact(m, 0.6)
+    assert len(blocks) >= 4
+    assert abs(res.value - pair_sum_overlap(m, 0.6)) <= 1e-14
+
+
+def test_overlap_exact_cap_checked_before_walk(monkeypatch):
+    def no_walk(w, row_bytes):
+        raise AssertionError("the sign-vector walk started above the cap")
+
+    monkeypatch.setattr(simulator, "sign_blocks", no_walk)
+    n = simulator._OVERLAP_MAX_N + 1
+    m = np.zeros((n, n))
+    tracemalloc.start()
+    with pytest.raises(DimensionTooLargeError):
+        overlap_exact(m, 0.5)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_richardson_small_dt_roundoff(n):
+    # Richardson-2 at a fifth of the chosen dt cancels heavily across its
+    # weights; overlaps accurate to a few ulps keep the result near Ryser.
+    rng = np.random.default_rng(90 + n)
+    for _ in range(4):
+        a = rng.standard_normal((n, n)) * 0.1
+        cfg = ProtocolConfig(dt=select_dt(a).chosen / 5)
+        est = richardson_extrapolate(a, cfg, 2, simulator.exact_overlap_evaluator())
+        want = permanent_ryser(a).value
+        assert abs(est.value - want) <= 1e-5 * abs(want)
