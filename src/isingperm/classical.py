@@ -1,11 +1,12 @@
 """Classical permanent evaluators.
 
 Exact routes: naive permutation sum, Ryser, Glynn, the double-sign-vector
-Glynn-Kan form (and its complex binomial expansion), and the GapP split of a
-real permanent into two nonnegative sums.  All but the naive sum are short
-reductions over one blocked walk of the sign-vector cube
+Glynn-Kan form (real or complex, (x'^T A x)^N per pair), and the GapP split
+of a real permanent into two nonnegative sums.  All but the naive sum are
+short reductions over one blocked walk of the sign-vector cube
 (matrices.sign_blocks).
-Randomized route: the Gurvits additive-error sampler.
+Randomized route: the Gurvits additive-error sampler, in batches that fit the
+same block budget.
 
 The exact evaluators double as oracles for the quantum protocol tests.
 """
@@ -18,6 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import matrices
 from .accumulate import KahanSum, block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
 from .matrices import as_matrix, sign_blocks, sign_matrix
@@ -131,9 +133,9 @@ def _int_power(q: np.ndarray, n: int) -> np.ndarray:
         np.multiply(q, q, out=q)
 
 
-def _glynn_kan_sums(arr: np.ndarray) -> tuple[float, float]:
+def _glynn_kan_sums(arr: np.ndarray) -> tuple[complex, complex]:
     """Pair sums over sign vectors (x, x') of par(x) par(x') q^N and of q^N,
-    with q = x'^T A x for a real matrix A.
+    with q = x'^T A x for a real or complex matrix A.
 
     Each x' row's signed inner sum over x is formed pairwise first; the rows
     of a block are then summed correctly rounded and blocks Kahan-summed.
@@ -143,49 +145,31 @@ def _glynn_kan_sums(arr: np.ndarray) -> tuple[float, float]:
     par_x = s.prod(axis=1)
     signed = KahanSum(0.0)
     total = KahanSum(0.0)
-    for par_xp, u in sign_blocks(arr, 24 << n):  # three 2^N-wide float rows
+    # q^N and two temporaries: three 2^N-wide rows per x'
+    for par_xp, u in sign_blocks(arr, 3 * arr.itemsize << n):
         qn = _int_power(u @ s.T, n)
         signed.add(block_sum(par_xp * (qn * par_x).sum(axis=1)))
         total.add(block_sum(qn.sum(axis=1)))
     return signed.total, total.total
 
 
-def _glynn_kan_complex(b: np.ndarray, c: np.ndarray) -> complex:
-    # Binomial-in-l expansion: sum_l i^l C(N,l) (x'^T B x)^{N-l} (x'^T C x)^l.
-    n = b.shape[0]
-    s = sign_matrix(n)
-    par_x = s.prod(axis=1)
-    weights = [1j**l * math.comb(n, l) for l in range(n + 1)]
-    acc = KahanSum(0j)
-    # qb, qc and up to three binomial-term temporaries, all 2^N-wide float rows
-    for par_xp, u in sign_blocks(np.hstack([b, c]), 40 << n):
-        qb = u[:, :n] @ s.T
-        qc = u[:, n:] @ s.T
-        rows = sum(w * (qb ** (n - l) * qc**l * par_x).sum(axis=1)
-                   for l, w in enumerate(weights))
-        acc.add(block_sum(par_xp * rows))
-    return complex(acc.total)
-
-
 def permanent_glynn_kan(a) -> PermanentEstimate:
     """Glynn-Kan double-sign-vector average of N-th powers of x'^T A x.
 
-    Real input evaluates the 4^N pair sum directly (blocked walk over x',
-    vectorized inner sum over x); complex input uses the equivalent binomial
-    expansion over B and C parts, which is the form the quantum protocol
-    mirrors.
+    Both real and complex input evaluate the 4^N pair sum directly (blocked
+    walk over x', vectorized inner sum over x), raising x'^T A x to the N-th
+    power by repeated squaring.  The binomial expansion over the B and C
+    parts of A = B + iC, which the quantum protocol mirrors, lives in
+    decomposition.generate_terms.
     """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _GLYNN_KAN_MAX_N, "permanent_glynn_kan")
     scale = math.factorial(n) * 4**n
-    if m.is_real:
-        signed, _ = _glynn_kan_sums(m.real_part)
-        return PermanentEstimate(value=complex(signed / scale), method="glynn_kan",
-                                 error_bound=0.0, wall_terms=4**n)
-    value = _glynn_kan_complex(m.real_part, m.imag_part) / scale
-    return PermanentEstimate(value=value, method="glynn_kan_complex",
-                             error_bound=0.0, wall_terms=(n + 1) * 4**n)
+    signed, _ = _glynn_kan_sums(_entries(m))
+    return PermanentEstimate(value=complex(signed / scale),
+                             method="glynn_kan" if m.is_real else "glynn_kan_complex",
+                             error_bound=0.0, wall_terms=4**n)
 
 
 def permanent_gapp(b) -> PermanentEstimate:
@@ -227,13 +211,16 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
     vectors; reported error_bound is the 3-sigma-style envelope
     3 ||A||_2^N / sqrt(samples).  With exhaustive=True all 2^N sign vectors
     are enumerated once, reproducing the exact Glynn value.
+
+    Real input is sampled in real arithmetic.  Sign vectors are drawn in
+    batches sized to matrices._BLOCK_BYTES, so memory stays flat in the
+    sample count; the draw order does not depend on the batch size, so a
+    seed gives the same sign vectors at any budget.
     """
     m = as_matrix(a)
     n = m.n
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    arr = m.array
-
     if exhaustive:
         _check_cap(n, _GLYNN_MAX_N, "permanent_gurvits(exhaustive)")
         value = permanent_glynn(m).value
@@ -241,17 +228,17 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
                                  samples_used=1 << n, wall_terms=1 << n,
                                  extra={"stderr": 0.0, "exhaustive": True})
 
+    w = _entries(m).T
+    # per sample: the drawn int64 bits, their float signs and the row sums x @ w
+    batch = max(1, matrices._BLOCK_BYTES // ((16 + w.itemsize) * n))
     rng = np.random.default_rng(seed)
     total = KahanSum(0j)
     total_sq = KahanSum(0.0)
-    done = 0
-    while done < samples:
-        batch = min(65536, samples - done)
-        x = rng.integers(0, 2, size=(batch, n)) * 2.0 - 1.0
-        vals = x.prod(axis=1) * (x @ arr.T).prod(axis=1)
+    for done in range(0, samples, batch):
+        x = rng.integers(0, 2, size=(min(batch, samples - done), n)) * 2.0 - 1.0
+        vals = x.prod(axis=1) * (x @ w).prod(axis=1)
         total.add(complex(vals.sum()))
-        total_sq.add(float(np.abs(vals) ** 2 @ np.ones(batch)))
-        done += batch
+        total_sq.add(float(np.vdot(vals, vals).real))
     mean = total.total / samples
     var = max(total_sq.total / samples - abs(mean) ** 2, 0.0)
     stderr = math.sqrt(var / samples)

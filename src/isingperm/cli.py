@@ -132,7 +132,8 @@ def _cmd_quantum(args) -> int:
     else:
         est = run_protocol(matrix, cfg, evaluator)
     try:
-        budget = total_error_bound(matrix, dt, eps_ht=eps_ht, eps_fd=1.0)
+        # at the finest step the run used, where estimate.error_bound is taken
+        budget = total_error_bound(matrix, dt / 2**args.richardson, eps_ht=eps_ht, eps_fd=1.0)
         budget_payload = {
             "fd_bound": budget.fd_bound,
             "ht_bound": budget.ht_bound,

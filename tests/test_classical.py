@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from isingperm import matrices
 from isingperm import (
     DimensionTooLargeError,
     InvalidInputError,
@@ -115,6 +117,7 @@ def _abs_term_sum(kernel, a):
     ("ryser", 14, False), ("ryser", 13, True),
     ("glynn", 14, False), ("glynn", 13, True),
     ("glynn_kan", 9, False), ("glynn_kan", 10, False), ("glynn_kan", 8, True),
+    ("glynn_kan", 9, True), ("glynn_kan", 10, True),
     ("gapp", 9, False), ("gapp", 10, False),
 ])
 def test_exact_methods_match_integer_oracle(kernel, n, complex_):
@@ -206,6 +209,7 @@ def test_wall_terms_reported():
     assert permanent_ryser(a).wall_terms == 2**3 - 1
     assert permanent_glynn(a).wall_terms == 2**3
     assert permanent_glynn_kan(a).wall_terms == 4**3
+    assert permanent_glynn_kan(a + 1j * np.eye(3)).wall_terms == 4**3
 
 
 def test_dimension_caps():
@@ -240,6 +244,71 @@ def test_gurvits_deterministic_under_seed():
     e1 = permanent_gurvits(a, samples=500, seed=9)
     e2 = permanent_gurvits(a, samples=500, seed=9)
     assert e1.value == e2.value
+
+
+def gurvits_fixed_batches(a, samples, seed):
+    """The sampler in complex arithmetic with fixed 65 536-row batches.
+
+    Returns (mean, stderr, mean |term|).
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    n = arr.shape[0]
+    rng = np.random.default_rng(seed)
+    total, total_sq, total_abs, done = 0j, 0.0, 0.0, 0
+    while done < samples:
+        batch = min(65536, samples - done)
+        x = rng.integers(0, 2, size=(batch, n)) * 2.0 - 1.0
+        vals = x.prod(axis=1) * (x @ arr.T).prod(axis=1)
+        total += vals.sum()
+        total_sq += float((np.abs(vals) ** 2).sum())
+        total_abs += float(np.abs(vals).sum())
+        done += batch
+    mean = total / samples
+    var = max(total_sq / samples - abs(mean) ** 2, 0.0)
+    return mean, math.sqrt(var / samples), total_abs / samples
+
+
+def _gurvits_case(n, complex_, seed):
+    rng = np.random.default_rng(1000 * n + 10 * complex_ + seed)
+    a = rng.standard_normal((n, n)) / math.sqrt(n)
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n)) / math.sqrt(n)
+    return a
+
+
+GURVITS_CASES = [(n, c, seed) for n, c in ((6, False), (9, False), (5, True))
+                 for seed in range(3)]
+
+
+@pytest.mark.parametrize("n, complex_, seed", GURVITS_CASES)
+def test_gurvits_same_samples_as_fixed_batches(n, complex_, seed):
+    a = _gurvits_case(n, complex_, seed)
+    want, want_stderr, mean_abs = gurvits_fixed_batches(a, 150_000, seed)
+    est = permanent_gurvits(a, samples=150_000, seed=seed)
+    assert abs(est.value - want) <= 1e-12 * mean_abs
+    assert est.extra["stderr"] == pytest.approx(want_stderr, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, complex_, seed", GURVITS_CASES[::3])
+def test_gurvits_batch_size_invariant(n, complex_, seed, monkeypatch):
+    a = _gurvits_case(n, complex_, seed)
+    _, _, mean_abs = gurvits_fixed_batches(a, 20_000, seed)
+    base = permanent_gurvits(a, samples=20_000, seed=seed)
+    monkeypatch.setattr(matrices, "_BLOCK_BYTES", 4 << 10)
+    small = permanent_gurvits(a, samples=20_000, seed=seed)
+    assert abs(small.value - base.value) <= 1e-12 * mean_abs
+    assert small.extra["stderr"] == pytest.approx(base.extra["stderr"], rel=1e-10)
+
+
+def test_gurvits_memory_bounded():
+    a = np.random.default_rng(47).standard_normal((20, 20)) / math.sqrt(20)
+    tracemalloc.start()
+    try:
+        permanent_gurvits(a, samples=200_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_empty_like_smallest_case():

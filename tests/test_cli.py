@@ -77,6 +77,14 @@ def test_quantum_auto_dt_accuracy(tmp_path, capsys):
     assert len(payload["per_level"]) == 3
 
 
+def test_quantum_richardson_budget_at_finest_dt(tmp_path, capsys):
+    rng = np.random.default_rng(79)
+    path = write_matrix(tmp_path / "m.json", rng.standard_normal((4, 4)) * 0.1)
+    code, payload = run_json(capsys, ["quantum", "--input", path, "--richardson", "2"])
+    assert code == 0
+    assert payload["error_budget"]["fd_bound"] == payload["estimate"]["error_bound"]
+
+
 def test_quantum_explicit_dt_and_overlaps(tmp_path, capsys):
     a = np.diag([0.7, -0.4])
     path = write_matrix(tmp_path / "m.json", a)
