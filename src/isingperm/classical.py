@@ -4,7 +4,13 @@ Exact routes: naive permutation sum, Ryser, Glynn, the double-sign-vector
 Glynn-Kan form (real or complex, (x'^T A x)^N per pair), and the GapP split
 of a real permanent into two nonnegative sums.  All but the naive sum are
 short reductions over one blocked walk of the sign-vector cube
-(matrices.sign_blocks).
+(matrices.sign_blocks), taking each product over a sign vector's coordinates
+along contiguous rows.  Glynn's and Glynn-Kan's terms are unchanged by
+x -> -x (Glynn 2010), so those walks cover only x_0 = +1 (and x'_0 = +1):
+half of Glynn's 2^N vectors, a quarter of Glynn-Kan's 4^N pairs.  The
+unsigned Glynn-Kan total that GapP also needs changes by (-1)^N under the
+same flip, so its quarter gives the full total only at even N, which GapP
+always has after padding.
 Randomized route: the Gurvits additive-error sampler, in batches that fit the
 same block budget.
 
@@ -37,7 +43,8 @@ class PermanentEstimate:
 
     error_bound is 0 for exact methods, an additive envelope for sampling
     and protocol methods, None when no bound is attached.  wall_terms counts
-    summand evaluations.
+    the summands of the method's formula (2^N for Glynn, 4^N for Glynn-Kan,
+    the samples for Gurvits), not the ones a symmetry lets it skip.
     """
 
     value: complex
@@ -82,11 +89,15 @@ def _entries(m) -> np.ndarray:
     return m.real_part if m.is_real else m.array
 
 
-def _signed_row_product_sum(w: np.ndarray, shift) -> complex:
-    """Sum over sign vectors x of par(x) * prod_j (shift + x @ w)_j."""
+def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray) -> complex:
+    """Sum over sign vectors x of par(x) * prod_j (shift + x @ w)_j.
+
+    shift is an (m, 1) column, added to each block of m-vectors in place.
+    """
     acc = KahanSum(0.0)
-    for par, rows in sign_blocks(w, 2 * w.itemsize * w.shape[1]):
-        acc.add(block_sum(par * (shift + rows).prod(axis=1)))
+    for par, cols in sign_blocks(w, 2 * w.itemsize * w.shape[1]):
+        cols += shift
+        acc.add(block_sum(par * cols.prod(axis=0)))
     return complex(acc.total)
 
 
@@ -101,18 +112,23 @@ def permanent_ryser(a) -> PermanentEstimate:
     n = m.n
     _check_cap(n, _RYSER_MAX_N, "permanent_ryser")
     arr = _entries(m)
-    value = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1))
+    value = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1)[:, None])
     return PermanentEstimate(value=value, method="ryser",
                              error_bound=0.0, wall_terms=(1 << n) - 1)
 
 
 def permanent_glynn(a) -> PermanentEstimate:
-    """Glynn average of signed products over all 2^N sign vectors."""
+    """Glynn average of signed products over all 2^N sign vectors.
+
+    A term par(x) prod_j (A x)_j is unchanged by x -> -x (both factors take
+    (-1)^N), so the sum runs over the 2^(N-1) vectors with x_0 = +1: the
+    walk covers x_1..x_{N-1} and A's first column is the shift.
+    """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _GLYNN_MAX_N, "permanent_glynn")
-    arr = _entries(m)
-    value = _signed_row_product_sum(arr.T, 0.0) / (1 << n)
+    w = _entries(m).T
+    value = _signed_row_product_sum(w[1:], w[0][:, None]) / (1 << (n - 1))
     return PermanentEstimate(value=value, method="glynn",
                              error_bound=0.0, wall_terms=1 << n)
 
@@ -133,24 +149,32 @@ def _int_power(q: np.ndarray, n: int) -> np.ndarray:
         np.multiply(q, q, out=q)
 
 
-def _glynn_kan_sums(arr: np.ndarray) -> tuple[complex, complex]:
-    """Pair sums over sign vectors (x, x') of par(x) par(x') q^N and of q^N,
-    with q = x'^T A x for a real or complex matrix A.
+def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, complex | None]:
+    """Pair sums over sign vectors (x, x') of par(x) par(x') q^N and, when
+    unsigned is set, of q^N, with q = x'^T A x for a real or complex matrix A.
 
-    Each x' row's signed inner sum over x is formed pairwise first; the rows
-    of a block are then summed correctly rounded and blocks Kahan-summed.
+    x -> -x and x' -> -x' each negate q, so q^N and par(x) par(x') both
+    change by (-1)^N and a signed term is unchanged by either: the sums run
+    over the quarter of the pairs with x_0 = x'_0 = +1 (the walk covers
+    x'_1..x'_{N-1}, A's first row is the shift) and are multiplied by 4.  An
+    unsigned term q^N changes by (-1)^N, so 4 times its quarter is the full
+    total only at even N; at odd N the full total is 0.  Each x' row's signed
+    inner sum over x is formed pairwise first; the rows of a block are then
+    summed correctly rounded and blocks Kahan-summed.
     """
     n = arr.shape[0]
-    s = sign_matrix(n)
-    par_x = s.prod(axis=1)
+    x = sign_matrix(n)[::2]
+    par_x = x.prod(axis=1)
     signed = KahanSum(0.0)
     total = KahanSum(0.0)
-    # q^N and two temporaries: three 2^N-wide rows per x'
-    for par_xp, u in sign_blocks(arr, 3 * arr.itemsize << n):
-        qn = _int_power(u @ s.T, n)
+    # q^N and two temporaries: three 2^(N-1)-wide rows per x'
+    for par_xp, u in sign_blocks(arr[1:], 3 * arr.itemsize << (n - 1)):
+        u += arr[0][:, None]
+        qn = _int_power(u.T @ x.T, n)
         signed.add(block_sum(par_xp * (qn * par_x).sum(axis=1)))
-        total.add(block_sum(qn.sum(axis=1)))
-    return signed.total, total.total
+        if unsigned:
+            total.add(block_sum(qn.sum(axis=1)))
+    return 4 * signed.total, 4 * total.total if unsigned else None
 
 
 def permanent_glynn_kan(a) -> PermanentEstimate:
@@ -192,7 +216,7 @@ def permanent_gapp(b) -> PermanentEstimate:
         arr = np.pad(arr, ((0, 1), (0, 1)))
         arr[n, n] = 1.0
     np2 = arr.shape[0]
-    signed, total = _glynn_kan_sums(arr)
+    signed, total = _glynn_kan_sums(arr, unsigned=True)
     scale = math.factorial(np2) * 4**np2
     return PermanentEstimate(
         value=complex(signed / scale),
@@ -215,7 +239,10 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
     Real input is sampled in real arithmetic.  Sign vectors are drawn in
     batches sized to matrices._BLOCK_BYTES, so memory stays flat in the
     sample count; the draw order does not depend on the batch size, so a
-    seed gives the same sign vectors at any budget.
+    seed gives the same sign vectors at any budget.  The bits are drawn as
+    int32, the same stream as int64 at half the bytes.  A batch is held as
+    (N, b) columns, so each term is the single product prod_j x_j (A x)_j
+    along contiguous rows, the parity folded in.
     """
     m = as_matrix(a)
     n = m.n
@@ -228,15 +255,19 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
                                  samples_used=1 << n, wall_terms=1 << n,
                                  extra={"stderr": 0.0, "exhaustive": True})
 
-    w = _entries(m).T
-    # per sample: the drawn int64 bits, their float signs and the row sums x @ w
-    batch = max(1, matrices._BLOCK_BYTES // ((16 + w.itemsize) * n))
+    arr = _entries(m)
+    # per sample: the drawn int32 bits, their float signs and the products x_j (A x)_j
+    batch = max(1, matrices._BLOCK_BYTES // ((12 + arr.itemsize) * n))
     rng = np.random.default_rng(seed)
     total = KahanSum(0j)
     total_sq = KahanSum(0.0)
     for done in range(0, samples, batch):
-        x = rng.integers(0, 2, size=(min(batch, samples - done), n)) * 2.0 - 1.0
-        vals = x.prod(axis=1) * (x @ w).prod(axis=1)
+        bits = rng.integers(0, 2, size=(min(batch, samples - done), n), dtype=np.int32)
+        x = np.multiply(bits.T, 2.0, order="C")  # one sign vector per column
+        x -= 1.0
+        cols = arr @ x
+        cols *= x
+        vals = cols.prod(axis=0)
         total.add(complex(vals.sum()))
         total_sq.add(float(np.vdot(vals, vals).real))
     mean = total.total / samples

@@ -295,10 +295,16 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
     tableau entry T[i][m] = (4^m T[i][m-1] - T[i-1][m-1]) / (4^m - 1)
     eliminates the leading 2m-th order error.  Per-level estimates and the
     last-column residuals are reported so a non-dt^2 signal stays visible.
+
+    Level i hands the evaluator term indices i * T .. i * T + T - 1 (T terms
+    per level), so an evaluator that seeds by index (shot_overlap_evaluator)
+    draws fresh shots at every level, and level 0 numbers its terms exactly
+    as run_protocol does.
     """
     if levels < 0 or levels > _RICHARDSON_MAX_LEVELS:
         raise InvalidInputError(f"richardson levels must be in 0..{_RICHARDSON_MAX_LEVELS}")
     m = as_matrix(a)
+    count = len(generate_terms(m, base_cfg))
     per_level = []
     for i in range(levels + 1):
         cfg_i = ProtocolConfig(
@@ -308,7 +314,8 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
             halve_by_time_reversal=base_cfg.halve_by_time_reversal,
             allow_dt_override=base_cfg.allow_dt_override,
         )
-        est = run_protocol(m, cfg_i, evaluator)
+        est = run_protocol(m, cfg_i, lambda term, dt_half, index, first=i * count:
+                           evaluator(term, dt_half, first + index))
         per_level.append(est.value)
 
     tableau = [list(per_level)]
@@ -324,7 +331,7 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
     bound = finite_difference_bound(m, base_cfg.dt / 2**levels)
     return PermanentEstimate(
         value=complex(value), method="quantum_protocol", error_bound=bound,
-        wall_terms=len(generate_terms(m, base_cfg)) * (levels + 1),
+        wall_terms=count * (levels + 1),
         extra={"per_level": per_level, "residuals": residuals,
                "base_dt": base_cfg.dt, "levels": levels},
     )

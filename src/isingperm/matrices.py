@@ -101,23 +101,27 @@ _BLOCK_BYTES = 1 << 20
 
 
 def sign_blocks(w: np.ndarray, row_bytes: int):
-    """Yield (par(X), X @ w) over all 2^n sign vectors X, 2^k rows at a time.
+    """Yield (par(X), (X @ w).T) over all 2^n sign vectors X, 2^k at a time.
 
-    The low k bits of the sign-vector index form one block, built once; each
-    block adds the signed sum of w's rows for its high bits.  row_bytes is
-    what the caller materialises per sign vector; k is the largest that keeps
-    2^k such rows within _BLOCK_BYTES.
+    Each block holds the m-vectors X @ w of its 2^k sign vectors as columns of
+    an (m, 2^k) C-contiguous array, so a product over one sign vector's m
+    coordinates is prod(axis=0), which runs along contiguous rows; every
+    block is a new array, which the caller may overwrite.  The low k
+    bits of the sign-vector index form one block, built once; each block adds
+    the signed sum of w's rows for its high bits.  row_bytes is what the
+    caller materialises per sign vector; k is the largest that keeps 2^k such
+    vectors within _BLOCK_BYTES.
     """
     n = w.shape[0]
     k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
     low = sign_matrix(k)
     low_par = low.prod(axis=1)
-    low_w = low @ w[:k]
+    low_w = w[:k].T @ low.T
     high_w = w[k:]
     high_bits = np.arange(n - k)
     for h in range(1 << (n - k)):
         signs = 1.0 - 2.0 * ((h >> high_bits) & 1)
-        yield low_par * signs.prod(), low_w + signs @ high_w
+        yield low_par * signs.prod(), low_w + (signs @ high_w)[:, None]
 
 
 def ising_diag_spectral_norm(a) -> float:

@@ -267,8 +267,8 @@ def overlap_exact(m, dt_half: float) -> OverlapResult:
     if n > _OVERLAP_MAX_N:
         raise DimensionTooLargeError(f"overlap_exact capped at n <= {_OVERLAP_MAX_N}")
     acc = KahanSum(0.0)
-    for _, rows in sign_blocks(arr, 16 * n):  # x'^T M and its cosines
-        acc.add(block_sum(np.cos(dt_half * rows).prod(axis=1)))
+    for _, cols in sign_blocks(arr, 16 * n):  # (x'^T M)^T and its cosines
+        acc.add(block_sum(np.cos(dt_half * cols).prod(axis=0)))
     return OverlapResult(real_part=acc.total / 2**n, imag_part=0.0,
                          variance_estimate=0.0, shots_used=0, mode="exact")
 

@@ -134,6 +134,25 @@ def test_exact_methods_match_integer_oracle(kernel, n, complex_):
         assert err <= 16 * U * _abs_term_sum(kernel, a), (kernel, n, complex_)
 
 
+# N = 1 leaves the half-cube walks an empty sign vector; N = 2, 3 cover even
+# and odd N, where the unsigned Glynn-Kan terms change sign under x -> -x.
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_cube_kernels_small_n(n, complex_):
+    rng = np.random.default_rng(50 + n)
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    want = permanent_naive(a).value
+    methods = [permanent_glynn, permanent_glynn_kan] + ([] if complex_ else [permanent_gapp])
+    for method in methods:
+        assert method(a).value == pytest.approx(want, rel=1e-13, abs=1e-14), method.__name__
+    if not complex_:
+        est = permanent_gapp(a)
+        assert est.extra["s_plus"] - est.extra["s_minus"] == pytest.approx(
+            want.real, rel=1e-12, abs=1e-14)
+
+
 def test_overflow_gives_nonfinite_value():
     a = np.full((3, 3), 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,7 +295,7 @@ def _gurvits_case(n, complex_, seed):
     return a
 
 
-GURVITS_CASES = [(n, c, seed) for n, c in ((6, False), (9, False), (5, True))
+GURVITS_CASES = [(n, c, seed) for n, c in ((6, False), (9, False), (5, True), (20, False))
                  for seed in range(3)]
 
 

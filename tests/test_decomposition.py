@@ -21,6 +21,7 @@ from isingperm import (
     select_dt,
     shot_overlap_evaluator,
 )
+from isingperm import simulator
 
 
 def reference_permanent(a):
@@ -312,6 +313,32 @@ def test_richardson_reports_levels_and_residuals():
     assert len(est.extra["per_level"]) == 3
     assert len(est.extra["residuals"]) == 2
     assert est.extra["levels"] == 2
+
+
+def test_richardson_levels_draw_fresh_shot_seeds(monkeypatch):
+    a = small_matrix(2, 18, complex_=True)
+    # unpaired terms draw both Re and Im
+    cfg = ProtocolConfig(dt=safe_dt(a), mode="hadamard_shots", shots_per_overlap=64,
+                         seed=11, halve_by_time_reversal=False)
+    indices, seeds = [], []
+    evaluate = shot_overlap_evaluator(64, 11)
+    overlap_shots = simulator.overlap_shots
+
+    def recording_evaluator(term, dt_half, index):
+        indices.append(index)
+        return evaluate(term, dt_half, index)
+
+    def recording_shots(m, dt_half, shots, seed, measure_imag=False):
+        seeds.append(seed)
+        return overlap_shots(m, dt_half, shots, seed, measure_imag=measure_imag)
+
+    monkeypatch.setattr(simulator, "overlap_shots", recording_shots)
+    est = richardson_extrapolate(a, cfg, 2, recording_evaluator)
+    assert sorted(indices) == list(range(3 * len(generate_terms(a, cfg))))
+    assert len(seeds) == 2 * len(indices)
+    assert len(set(seeds)) == len(seeds)
+    plain = run_protocol(a, cfg, shot_overlap_evaluator(64, 11))
+    assert est.extra["per_level"][0] == plain.value
 
 
 def test_richardson_level_cap():

@@ -12,6 +12,7 @@ from isingperm import (
     matrix_to_json,
     norms,
 )
+from isingperm import matrices
 
 
 def test_identity_norms():
@@ -113,6 +114,28 @@ def test_diag_spectral_norm_bounded_by_ising_norm():
         a = rng.standard_normal((n, n))
         exact = ising_diag_spectral_norm(a)
         assert exact <= norms(a).ising_norm + 1e-12
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("low_bits", [0, 2])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sign_blocks_contract(n, low_bits, complex_, monkeypatch):
+    # Integer entries make every sum exact, so the walk must match bit for bit.
+    rng = np.random.default_rng(23 + n)
+    w = rng.integers(-4, 5, (n, 3)).astype(float)
+    if complex_:
+        w = w + 1j * rng.integers(-4, 5, (n, 3))
+    row_bytes = 48
+    monkeypatch.setattr(matrices, "_BLOCK_BYTES", row_bytes << low_bits)
+    blocks = list(matrices.sign_blocks(w, row_bytes))
+    width = 1 << min(n, low_bits)
+    assert len(blocks) == (1 << n) // width
+    for par, cols in blocks:
+        assert par.shape == (width,)
+        assert cols.shape == (3, width) and cols.flags.c_contiguous
+    x = matrices.sign_matrix(n)
+    assert np.array_equal(np.concatenate([par for par, _ in blocks]), x.prod(axis=1))
+    assert np.array_equal(np.concatenate([cols for _, cols in blocks], axis=1), (x @ w).T)
 
 
 def test_json_round_trip_complex():
