@@ -9,7 +9,7 @@ recombines evaluated overlaps, and Richardson-extrapolates in dt^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -307,13 +307,7 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
     count = len(generate_terms(m, base_cfg))
     per_level = []
     for i in range(levels + 1):
-        cfg_i = ProtocolConfig(
-            dt=base_cfg.dt / 2**i, mode=base_cfg.mode,
-            shots_per_overlap=base_cfg.shots_per_overlap,
-            richardson_levels=0, seed=base_cfg.seed + i,
-            halve_by_time_reversal=base_cfg.halve_by_time_reversal,
-            allow_dt_override=base_cfg.allow_dt_override,
-        )
+        cfg_i = replace(base_cfg, dt=base_cfg.dt / 2**i, richardson_levels=0)
         est = run_protocol(m, cfg_i, lambda term, dt_half, index, first=i * count:
                            evaluator(term, dt_half, first + index))
         per_level.append(est.value)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from isingperm import (
     ancilla_probability_zero,
     build_hadamard_test,
     build_propagator_circuit,
+    generate_terms,
     hoeffding_shots,
     overlap_exact,
     overlap_shots,
@@ -53,6 +55,55 @@ def kron_chain(num_qubits, ops):
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 Z = np.diag([1.0, -1.0]).astype(np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+P0 = np.diag([1.0, 0.0]).astype(np.complex128)
+P1 = np.diag([0.0, 1.0]).astype(np.complex128)
+SINGLE = {"H": H, "SDG": np.diag([1.0, -1.0j]), "X": X}
+
+
+def rz_matrix(theta):
+    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+
+
+def kron_gate(num_qubits, gate):
+    # oracle: one gate as a sum of np.kron products, controlled gates as
+    # |0><0|_c (x) I + |1><1|_c (x) G; never calls the simulator
+    q, theta = gate.qubits, gate.theta
+    if gate.name in SINGLE:
+        return kron_chain(num_qubits, {q[0]: SINGLE[gate.name]})
+    if gate.name == "RZ":
+        return kron_chain(num_qubits, {q[0]: rz_matrix(theta)})
+    if gate.name == "RZZ":
+        return (np.cos(theta / 2) * np.eye(2**num_qubits)
+                - 1j * np.sin(theta / 2) * kron_chain(num_qubits, {q[0]: Z, q[1]: Z}))
+    off = kron_chain(num_qubits, {q[0]: P0})
+    if gate.name == "CNOT":
+        return off + kron_chain(num_qubits, {q[0]: P1, q[1]: X})
+    if gate.name == "CRZ":
+        return off + kron_chain(num_qubits, {q[0]: P1, q[1]: rz_matrix(theta)})
+    assert gate.name == "CRZZ"
+    return (off + np.cos(theta / 2) * kron_chain(num_qubits, {q[0]: P1})
+            - 1j * np.sin(theta / 2) * kron_chain(num_qubits, {q[0]: P1, q[1]: Z, q[2]: Z}))
+
+
+def kron_unitary(circuit):
+    u = np.eye(2**circuit.num_qubits, dtype=np.complex128)
+    for g in circuit.gates:
+        u = kron_gate(circuit.num_qubits, g) @ u
+    return u
+
+
+GATE_ARITY = {"h": 1, "sdg": 1, "x": 1, "rz": 1, "cnot": 2, "rzz": 2, "crz": 2, "crzz": 3}
+
+
+def random_circuit(rng, num_qubits, length):
+    circ = QuantumCircuit(num_qubits)
+    names = [name for name, k in GATE_ARITY.items() if k <= num_qubits]
+    for _ in range(length):
+        name = names[rng.integers(len(names))]
+        qubits = [int(q) for q in rng.permutation(num_qubits)[:GATE_ARITY[name]]]
+        theta = [rng.uniform(-4.0, 4.0)] if name in ("rz", "rzz", "crz", "crzz") else []
+        getattr(circ, name)(*qubits, *theta)
+    return circ
 
 
 def test_single_qubit_gates():
@@ -95,6 +146,67 @@ def test_rzz_matches_kron_oracle():
         np.cos(theta / 2) * np.eye(8) - 1j * np.sin(theta / 2) * zz
     )
     assert np.allclose(dense_unitary(circ), expected)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_simulator_matches_kron_oracle_on_random_circuits(num_qubits):
+    rng = np.random.default_rng(40 + num_qubits)
+    seen = set()
+    for _ in range(3):
+        circ = random_circuit(rng, num_qubits, 30)
+        seen |= {g.name.lower() for g in circ.gates}
+        np.testing.assert_allclose(dense_unitary(circ), kron_unitary(circ), rtol=0, atol=1e-12)
+    assert seen == {name for name, k in GATE_ARITY.items() if k <= num_qubits}
+
+
+def test_controlled_gates_match_kron_oracle_in_every_orientation():
+    # CNOT and CRZ with the control above and below the target, CRZZ with the
+    # control above, between and below its targets, on adjacent and gapped qubits
+    for num_qubits, qubits in ((3, (0, 1, 2)), (5, (0, 2, 4))):
+        for c, t1, t2 in itertools.permutations(qubits):
+            circ = QuantumCircuit(num_qubits)
+            circ.cnot(c, t1)
+            circ.crz(c, t1, 0.613)
+            circ.crzz(c, t1, t2, -1.371)
+            for g in circ.gates:
+                one = QuantumCircuit(num_qubits, [g])
+                np.testing.assert_allclose(dense_unitary(one), kron_unitary(one), rtol=0, atol=1e-12)
+
+
+def test_simulate_statevector_peak_memory():
+    # gates act in place on views of the state: the largest temporary is
+    # half the state, so the traced peak is about 1.5x its bytes plus numpy's
+    # fixed iteration buffers (2.3x in all at 15 qubits)
+    rng = np.random.default_rng(61)
+    circ = build_hadamard_test(rng.standard_normal((7, 7)), 0.3)
+    assert circ.num_qubits == 15
+    circ.gates += random_circuit(rng, 15, 40).gates
+    tracemalloc.start()
+    state = simulate_statevector(circ)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 2.5 * state.nbytes
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("field_", ["real", "complex"])
+def test_hadamard_test_matches_overlap_exact_on_protocol_terms(n, field_):
+    # the circuit's ancilla gives 2 p0 - 1 = Re <phi|U|phi> for every term the
+    # protocol evaluates, and 0 = Im through the Sdg variant
+    rng = np.random.default_rng(80 + n)
+    a = rng.standard_normal((n, n)) * 0.1
+    if field_ == "complex":
+        a = a + 1j * rng.standard_normal((n, n)) * 0.1
+    cfg = ProtocolConfig(dt=select_dt(a).chosen)
+    terms = generate_terms(a, cfg)
+    assert terms
+    for term in terms:
+        dt_half = cfg.dt / 2.0
+        want = overlap_exact(term.matrix, dt_half)
+        for imag, part in ((False, want.real_part), (True, want.imag_part)):
+            p0 = ancilla_probability_zero(
+                build_hadamard_test(term.matrix, dt_half, measure_imag=imag), ancilla=2 * n)
+            assert 2.0 * p0 - 1.0 == pytest.approx(part, abs=1e-12)
 
 
 def test_crzz_decomposition_matches_native():
