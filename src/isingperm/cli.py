@@ -156,12 +156,10 @@ def _cmd_quantum(args) -> int:
         },
         "error_budget": budget_payload,
     }
-    if args.verbose:
-        overlaps = est.extra.get("overlaps", [])
-        payload["overlaps"] = [[complex(o).real, complex(o).imag] for o in overlaps]
-        payload["per_level"] = [
-            [v.real, v.imag] for v in est.extra.get("per_level", [])
-        ]
+    if args.verbose:  # a single-level run fills overlaps, a Richardson run per_level
+        for key in ("overlaps", "per_level"):
+            if key in est.extra:
+                payload[key] = [[complex(v).real, complex(v).imag] for v in est.extra[key]]
     _emit(payload, args.format)
     _write_manifest(args, outputs=[], config={
         "dt": dt, "mode": cfg.mode, "shots_per_overlap": cfg.shots_per_overlap,

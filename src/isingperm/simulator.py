@@ -10,11 +10,13 @@ uniform, so the overlap factorizes:
 
 a real number (x -> -x conjugates each phase) computed in N 2^N work over
 the blocked sign-vector walk of matrices.sign_blocks.  The statevector
-simulator remains the Hadamard-test oracle and the shot-mode sampler.  It
+simulator remains the Hadamard-test oracle and the shot-mode sampler; shot
+mode simulates the native circuit (one controlled-RZZ per matrix entry).  It
 applies each gate in place on reshaped views of the state, one length-2 axis
-per qubit the gate touches, so no per-gate index masks are built; the
-largest temporary is half the state, and the peak is about 1.5x the state
-(about 1.5 GiB at the 26-qubit cap, where the state itself is 1 GiB).
+per qubit the gate touches, so no per-gate index masks are built.  H and the
+diagonal gates need no temporary, so a Hadamard test peaks at about 1.0x the
+state (about 1 GiB at the 26-qubit cap); X and CNOT still copy a half or a
+quarter of the state.
 """
 
 from __future__ import annotations
@@ -180,36 +182,38 @@ def _split(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_TARGET_BITS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 0), (1, 1)]}
+_ODD_BITS = {1: [(1,)], 2: [(0, 1), (1, 0)]}
 
 
 def _apply_gate(v: np.ndarray, g: Gate) -> None:
     """Apply one gate in place to v = _split(state, g.qubits).
 
-    Temporaries (at most half the state) are freed on return.
+    Only X and CNOT make a temporary (their swap copy), freed on return.
     """
     controlled = g.name in ("CNOT", "CRZ", "CRZZ")
     if controlled:
         v = v[1]  # the control = 1 half
-    if g.name in ("H", "X", "CNOT"):
+    if g.name == "H":  # (a0, a1) -> (a0 + a1, a0 - a1) / sqrt(2) with no temporary
         a0, a1 = v[0], v[1]
-        if g.name == "H":
-            diff = a0 - a1
-            a0 += a1
-            a0 *= _INV_SQRT2
-            diff *= _INV_SQRT2
-            a1[...] = diff
-        else:  # swap; a ufunc writes a0 without the copy of a1 that a0[...] = a1 makes
-            tmp = a0.copy()
-            np.positive(a1, out=a0)
-            a1[...] = tmp
+        a0 += a1
+        a1 *= -2.0
+        a1 += a0
+        v *= _INV_SQRT2
+    elif g.name in ("X", "CNOT"):
+        # swap; a ufunc writes a0 without the copy of a1 that a0[...] = a1 makes
+        a0, a1 = v[0], v[1]
+        tmp = a0.copy()
+        np.positive(a1, out=a0)
+        a1[...] = tmp
     elif g.name == "SDG":
         v[1] *= -1j
     elif g.name in ("RZ", "RZZ", "CRZ", "CRZZ"):
-        # e^(-i theta/2) where the targets' Z parity is even, its conjugate where odd
-        half = cmath.exp(-0.5j * g.theta)
-        for bits in _TARGET_BITS[len(g.qubits) - controlled]:
-            v[bits] *= half.conjugate() if sum(bits) % 2 else half
+        # e^(-i theta/2) everywhere, then e^(i theta) more where the targets'
+        # Z parity is odd: one pass over the whole view, then the odd slices
+        v *= cmath.exp(-0.5j * g.theta)
+        turn = cmath.exp(1j * g.theta)
+        for bits in _ODD_BITS[len(g.qubits) - controlled]:
+            v[bits] *= turn
     else:  # pragma: no cover - gate set is closed
         raise InvalidInputError(f"unsupported gate {g.name!r}")
 
@@ -219,12 +223,13 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
 
     Every gate acts in place on a view of the state with one length-2 axis
     per qubit it touches (see _split): H and X on the halves where its qubit
-    is 0 and 1, the diagonal gates by scaling slices with e^(-+i theta/2),
+    is 0 and 1, the diagonal gates by scaling the whole (control = 1) view
+    by e^(-i theta/2) and then the odd-parity target slices by e^(i theta),
     CNOT by swapping the two target slices inside the control = 1 half.
-    Circuits reuse few qubit tuples, so each tuple's view is built once.
-    The largest temporary is half the state (H and X), so the traced peak is
-    about 1.5x the state's bytes, plus numpy's fixed iteration buffers
-    (under 0.5 MiB).
+    Each qubit tuple's view is built once per circuit.  H, SDG and the
+    diagonal gates make no temporary, so a Hadamard test's traced peak is
+    about 1.0x the state's bytes plus numpy's fixed iteration buffers (under
+    0.5 MiB); X copies half the state and CNOT a quarter.
     """
     nq = circ.num_qubits
     if nq > _MAX_QUBITS:
@@ -288,15 +293,17 @@ def overlap_shots(m, dt_half: float, shots: int, seed: int,
                   measure_imag: bool = False) -> OverlapResult:
     """Shot-sampled Hadamard-test estimate of Re (or Im) of the overlap.
 
-    Sampling draws from the exact ancilla marginal of the synthesized
-    circuit, which is statistically identical to full-register sampling for
-    this observable.
+    Simulates the native circuit (build_hadamard_test with synthesize=False:
+    N^2 controlled-RZZ gates, not the 6N^2 gates of the CNOT synthesis, whose
+    ancilla probability is the same up to rounding) and draws the ancilla
+    count from its exact marginal, which is statistically identical to
+    full-register sampling for this observable.
     """
     if shots < 1:
         raise InvalidInputError("shots must be >= 1")
     arr = _require_real(m)
     n = arr.shape[0]
-    circ = build_hadamard_test(arr, dt_half, measure_imag=measure_imag)
+    circ = build_hadamard_test(arr, dt_half, measure_imag=measure_imag, synthesize=False)
     p0 = ancilla_probability_zero(circ, 2 * n)
     p0 = min(max(p0, 0.0), 1.0)
     rng = np.random.default_rng(seed)

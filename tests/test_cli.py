@@ -97,6 +97,19 @@ def test_quantum_explicit_dt_and_overlaps(tmp_path, capsys):
     assert abs(got - (-0.28)) <= payload["estimate"]["error_bound"] + 1e-12
 
 
+@pytest.mark.parametrize("richardson, present, absent",
+                         [("0", "overlaps", "per_level"), ("2", "per_level", "overlaps")])
+def test_quantum_verbose_emits_only_filled_keys(tmp_path, capsys, richardson, present, absent):
+    # a single-level run has per-term overlaps and no levels; a Richardson
+    # run has levels and does not keep each level's overlaps
+    path = write_matrix(tmp_path / "m.json", np.diag([0.3, -0.2, 0.25]))
+    code, payload = run_json(capsys, [
+        "quantum", "--input", path, "--richardson", richardson, "--verbose"])
+    assert code == 0
+    assert payload[present]
+    assert absent not in payload
+
+
 def test_quantum_shots_deterministic(tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2]))
     argv = ["quantum", "--input", path, "--dt", "0.4", "--mode", "shots",

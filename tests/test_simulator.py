@@ -188,11 +188,7 @@ def test_simulate_statevector_peak_memory():
     assert peak <= 2.5 * state.nbytes
 
 
-@pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("field_", ["real", "complex"])
-def test_hadamard_test_matches_overlap_exact_on_protocol_terms(n, field_):
-    # the circuit's ancilla gives 2 p0 - 1 = Re <phi|U|phi> for every term the
-    # protocol evaluates, and 0 = Im through the Sdg variant
+def protocol_terms(n, field_):
     rng = np.random.default_rng(80 + n)
     a = rng.standard_normal((n, n)) * 0.1
     if field_ == "complex":
@@ -200,13 +196,56 @@ def test_hadamard_test_matches_overlap_exact_on_protocol_terms(n, field_):
     cfg = ProtocolConfig(dt=select_dt(a).chosen)
     terms = generate_terms(a, cfg)
     assert terms
+    return terms, cfg.dt / 2.0
+
+
+@pytest.mark.parametrize("field_, n, synthesize", [
+    pytest.param(field_, n, synthesize, id=f"{field_}-{n}" + ("" if synthesize else "-native"))
+    for field_ in ("real", "complex") for n in (5, 6) for synthesize in (True, False)])
+def test_hadamard_test_matches_overlap_exact_on_protocol_terms(n, field_, synthesize):
+    # the circuit's ancilla gives 2 p0 - 1 = Re <phi|U|phi> for every term the
+    # protocol evaluates, and 0 = Im through the Sdg variant
+    terms, dt_half = protocol_terms(n, field_)
     for term in terms:
-        dt_half = cfg.dt / 2.0
         want = overlap_exact(term.matrix, dt_half)
         for imag, part in ((False, want.real_part), (True, want.imag_part)):
-            p0 = ancilla_probability_zero(
-                build_hadamard_test(term.matrix, dt_half, measure_imag=imag), ancilla=2 * n)
+            circ = build_hadamard_test(term.matrix, dt_half, measure_imag=imag,
+                                       synthesize=synthesize)
+            p0 = ancilla_probability_zero(circ, ancilla=2 * n)
             assert 2.0 * p0 - 1.0 == pytest.approx(part, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("field_", ["real", "complex"])
+def test_overlap_shots_draws_from_synthesized_circuit_probability(n, field_):
+    # shots mode simulates the native CRZZ circuit; its counts must be the
+    # ones a binomial draw from the CNOT-synthesized circuit's p0 gives
+    terms, dt_half = protocol_terms(n, field_)
+    shots = hoeffding_shots(0.05, 0.05)
+    for term in terms:
+        for imag in (False, True):
+            circ = build_hadamard_test(term.matrix, dt_half, measure_imag=imag)
+            p0 = ancilla_probability_zero(circ, ancilla=2 * n)
+            for seed in range(10):
+                n0 = np.random.default_rng(seed).binomial(shots, p0)
+                res = overlap_shots(term.matrix, dt_half, shots, seed, measure_imag=imag)
+                got = res.imag_part if imag else res.real_part
+                assert got == (2 * n0 - shots) / shots
+
+
+def test_native_hadamard_test_peak_memory():
+    # H and the phase gates act in place with no temporary, so a native
+    # Hadamard test (H, SDG, CRZZ only) peaks at about the state itself
+    # (1.05x at 19 qubits: numpy's fixed iteration buffers)
+    rng = np.random.default_rng(62)
+    circ = build_hadamard_test(rng.standard_normal((9, 9)), 0.3, measure_imag=True,
+                               synthesize=False)
+    assert circ.num_qubits == 19
+    tracemalloc.start()
+    state = simulate_statevector(circ)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 1.15 * state.nbytes
 
 
 def test_crzz_decomposition_matches_native():
