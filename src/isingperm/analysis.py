@@ -83,19 +83,35 @@ def advantage_classify(a):
     """
     m = as_matrix(a)
     n = m.n
-    norms = m.norms
-    h = norms.ising_norm
-    a2 = norms.two_norm
-    threshold = n / E * a2
+    h = m.norms.ising_norm
+    a2 = m.norms.two_norm
     details = {"ising_norm": h, "two_norm": a2, "n_over_e": n / E,
-               "threshold": threshold}
+               "threshold": n / E * a2}
+    return _advantage_label(n, h, a2), details
+
+
+def advantage_labels(stack: np.ndarray) -> list[str]:
+    """advantage_classify's label for each matrix of a (count, N, N) stack.
+
+    The norms come from one batched SVD and one batched |A| sum over the
+    complex128 stack, the same values MatrixNorms holds for each matrix.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    n = stack.shape[-1]
+    two = np.linalg.norm(stack, 2, axis=(1, 2))
+    ising = np.abs(stack).sum(axis=(1, 2))
+    return [_advantage_label(n, float(h), float(a2)) for h, a2 in zip(ising, two)]
+
+
+def _advantage_label(n: int, h: float, a2: float) -> str:
+    threshold = n / E * a2
     if h > threshold:
-        return "no_advantage", details
+        return "no_advantage"
     if threshold <= n / E:       # ||A|| <= 1
-        return "case1", details
+        return "case1"
     if h <= n / E:
-        return "case2", details
-    return "case3", details
+        return "case2"
+    return "case3"
 
 
 def q_ratio(n: int) -> float:

@@ -236,13 +236,17 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
     3 ||A||_2^N / sqrt(samples).  With exhaustive=True all 2^N sign vectors
     are enumerated once, reproducing the exact Glynn value.
 
-    Real input is sampled in real arithmetic.  Sign vectors are drawn in
-    batches sized to matrices._BLOCK_BYTES, so memory stays flat in the
-    sample count; the draw order does not depend on the batch size, so a
-    seed gives the same sign vectors at any budget.  The bits are drawn as
-    int32, the same stream as int64 at half the bytes.  A batch is held as
-    (N, b) columns, so each term is the single product prod_j x_j (A x)_j
-    along contiguous rows, the parity folded in.
+    Random stream: sample i takes the next ceil(N/64) 64-bit outputs of
+    np.random.default_rng(seed).bit_generator, and its coordinate j is +1
+    when bit j mod 64 of word j // 64 is set, -1 when it is clear.  The
+    words are unpacked in bulk through their little-endian bytes, so a seed
+    gives the same sign vectors on any host byte order and at any batch size.
+
+    Real input is sampled in real arithmetic.  Batches are sized to
+    matrices._BLOCK_BYTES, so memory stays flat in the sample count.  A batch
+    is held as (N, b) columns, so each term is the single product
+    prod_j x_j (A x)_j along contiguous rows, the parity folded in.  The
+    envelope is inf when ||A||_2^N overflows a float.
     """
     m = as_matrix(a)
     n = m.n
@@ -256,13 +260,17 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
                                  extra={"stderr": 0.0, "exhaustive": True})
 
     arr = _entries(m)
-    # per sample: the drawn int32 bits, their float signs and the products x_j (A x)_j
-    batch = max(1, matrices._BLOCK_BYTES // ((12 + arr.itemsize) * n))
-    rng = np.random.default_rng(seed)
+    words = -(-n // 64)
+    # per sample: its words, one byte per unpacked bit, the float signs and
+    # the products x_j (A x)_j
+    batch = max(1, matrices._BLOCK_BYTES // (8 * words + (9 + arr.itemsize) * n))
+    bit_gen = np.random.default_rng(seed).bit_generator
     total = KahanSum(0j)
     total_sq = KahanSum(0.0)
     for done in range(0, samples, batch):
-        bits = rng.integers(0, 2, size=(min(batch, samples - done), n), dtype=np.int32)
+        b = min(batch, samples - done)
+        raw = bit_gen.random_raw(b * words).astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(raw.reshape(b, 8 * words), axis=1, count=n, bitorder="little")
         x = np.multiply(bits.T, 2.0, order="C")  # one sign vector per column
         x -= 1.0
         cols = arr @ x
@@ -271,9 +279,13 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
         total.add(complex(vals.sum()))
         total_sq.add(float(np.vdot(vals, vals).real))
     mean = total.total / samples
-    var = max(total_sq.total / samples - abs(mean) ** 2, 0.0)
+    second = total_sq.total / samples  # inf or nan once the squared terms overflow
+    var = max(second - abs(mean) ** 2, 0.0) if math.isfinite(second) else math.inf
     stderr = math.sqrt(var / samples)
-    bound = 3.0 * m.norms.two_norm**n / math.sqrt(samples)
+    try:
+        bound = 3.0 * m.norms.two_norm**n / math.sqrt(samples)
+    except OverflowError:
+        bound = math.inf
     return PermanentEstimate(value=complex(mean), method="gurvits", error_bound=bound,
                              samples_used=samples, wall_terms=samples,
                              extra={"stderr": stderr, "exhaustive": False})

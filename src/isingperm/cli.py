@@ -17,8 +17,8 @@ from dataclasses import asdict
 
 from . import __version__
 from .analysis import (
-    advantage_classify,
     advantage_domain_ratio,
+    advantage_labels,
     gaussian_norm_statistic,
     resource_table,
     total_error_bound,
@@ -40,7 +40,7 @@ from .decomposition import (
     select_dt,
 )
 from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
-from .matrices import SquareMatrix, gaussian_ensemble, load_matrix, save_matrix
+from .matrices import SquareMatrix, gaussian_ensemble, gaussian_stack, load_matrix, save_matrix
 from .simulator import exact_overlap_evaluator, hoeffding_shots, shot_overlap_evaluator
 
 _EXIT_OK = 0
@@ -82,7 +82,7 @@ def _write_manifest(args, outputs: list[str], config: dict | None = None) -> Non
         return
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:] if sys.argv[0].endswith(("isingperm", "cli.py")) else None,
+        "argv": args.argv,
         "input_path": getattr(args, "input", None),
         "config": config or {},
         "outputs": outputs,
@@ -197,10 +197,8 @@ def _cmd_advantage(args) -> int:
         header += [f"frac_{lab}" for lab in labels]
         freq_rows = []
         for n, _ in rows:
-            counts = dict.fromkeys(labels, 0)
-            for m in gaussian_ensemble(n, trials, seed + n):
-                counts[advantage_classify(m)[0]] += 1
-            freq_rows.append([counts[lab] / trials for lab in labels])
+            found = advantage_labels(gaussian_stack(n, trials, seed + n))
+            freq_rows.append([found.count(lab) / trials for lab in labels])
     print(",".join(header))
     for i, (n, q) in enumerate(rows):
         cells = [str(n), f"{q:.10f}"]
@@ -300,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # recorded in the manifest
     try:
         return args.func(args)
     except DtOutOfRangeError as exc:

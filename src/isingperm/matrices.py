@@ -142,26 +142,29 @@ def ising_diag_spectral_norm(a) -> float:
 _ENSEMBLE_KINDS = ("real-standard-normal", "complex-standard-normal")
 
 
-def gaussian_ensemble(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
-    """Draw `count` i.i.d. Gaussian n x n matrices, deterministic under seed.
+def gaussian_stack(n: int, count: int, seed: int, kind: str = "real-standard-normal") -> np.ndarray:
+    """Draw `count` i.i.d. Gaussian n x n matrices as one (count, n, n)
+    complex128 array, deterministic under seed.
 
     real-standard-normal: each entry N(0, 1).
     complex-standard-normal: real and imaginary parts each N(0, 1/2),
-    so E|A_jk|^2 = 1.
+    so E|A_jk|^2 = 1; each matrix draws its real part, then its imaginary
+    part.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if kind not in _ENSEMBLE_KINDS:
         raise InvalidInputError(f"unknown ensemble kind {kind!r}")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        if kind == "real-standard-normal":
-            draw = rng.standard_normal((n, n))
-        else:
-            draw = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        out.append(SquareMatrix(draw))
-    return out
+    if kind == "real-standard-normal":
+        return rng.standard_normal((count, n, n)).astype(np.complex128)
+    draw = rng.standard_normal((count, 2, n, n))
+    return (draw[:, 0] + 1j * draw[:, 1]) / math.sqrt(2)
+
+
+def gaussian_ensemble(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
+    """The matrices of gaussian_stack(n, count, seed, kind), one SquareMatrix each."""
+    return [SquareMatrix(draw) for draw in gaussian_stack(n, count, seed, kind)]
 
 
 # --- JSON matrix format -----------------------------------------------------
@@ -187,7 +190,7 @@ def matrix_from_json(obj) -> SquareMatrix:
         raise InvalidInputError('matrix JSON must be an object with "n" and "rows"')
     n = obj["n"]
     rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInputError('"n" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != n:
         raise InvalidInputError(f'"rows" must be a list of {n} rows')

@@ -17,6 +17,7 @@ from isingperm import (
     resource_table,
     total_error_bound,
 )
+from isingperm.analysis import advantage_labels
 
 
 def test_total_bound_components_real():
@@ -81,6 +82,25 @@ def test_advantage_cases():
     b[0] = 0.25
     label, _ = advantage_classify(b)
     assert label == "case1"
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_advantage_labels_match_classify(complex_):
+    # sparse, rescaled draws reach all four labels; the batched norms must give
+    # each matrix the label advantage_classify gives it alone
+    rng = np.random.default_rng(59 + complex_)
+    found = set()
+    for n in (3, 8, 16):
+        keep = rng.random((150, n, n)) < rng.uniform(0.02, 0.4, size=(150, 1, 1))
+        vals = rng.standard_normal((150, n, n))
+        if complex_:
+            vals = vals + 1j * rng.standard_normal((150, n, n))
+        stack = keep * vals * rng.uniform(0.05, 3.0, size=(150, 1, 1))
+        stack[:, 0, 0] += 1e-3
+        labels = advantage_labels(stack)
+        assert labels == [advantage_classify(m)[0] for m in stack]
+        found.update(labels)
+    assert found == {"case1", "case2", "case3", "no_advantage"}
 
 
 def test_q_ratio_thresholds():

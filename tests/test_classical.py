@@ -268,15 +268,21 @@ def test_gurvits_deterministic_under_seed():
 def gurvits_fixed_batches(a, samples, seed):
     """The sampler in complex arithmetic with fixed 65 536-row batches.
 
+    Each sample takes ceil(N/64) raw 64-bit words from the seed's bit
+    generator; coordinate j is +1 when bit j % 64 of word j // 64 is set.
     Returns (mean, stderr, mean |term|).
     """
     arr = np.asarray(a, dtype=np.complex128)
     n = arr.shape[0]
-    rng = np.random.default_rng(seed)
+    words = -(-n // 64)
+    word_of = np.arange(n) // 64
+    shift = (np.arange(n) % 64).astype(np.uint64)
+    bit_gen = np.random.default_rng(seed).bit_generator
     total, total_sq, total_abs, done = 0j, 0.0, 0.0, 0
     while done < samples:
         batch = min(65536, samples - done)
-        x = rng.integers(0, 2, size=(batch, n)) * 2.0 - 1.0
+        raw = bit_gen.random_raw(batch * words).reshape(batch, words)
+        x = ((raw[:, word_of] >> shift) & np.uint64(1)) * 2.0 - 1.0
         vals = x.prod(axis=1) * (x @ arr.T).prod(axis=1)
         total += vals.sum()
         total_sq += float((np.abs(vals) ** 2).sum())
@@ -295,7 +301,8 @@ def _gurvits_case(n, complex_, seed):
     return a
 
 
-GURVITS_CASES = [(n, c, seed) for n, c in ((6, False), (9, False), (5, True), (20, False))
+GURVITS_CASES = [(n, c, seed) for n, c in ((6, False), (9, False), (5, True), (20, False),
+                                          (70, False))
                  for seed in range(3)]
 
 
@@ -317,6 +324,15 @@ def test_gurvits_batch_size_invariant(n, complex_, seed, monkeypatch):
     small = permanent_gurvits(a, samples=20_000, seed=seed)
     assert abs(small.value - base.value) <= 1e-12 * mean_abs
     assert small.extra["stderr"] == pytest.approx(base.extra["stderr"], rel=1e-10)
+
+
+def test_gurvits_bound_overflow_is_infinite():
+    # every term is finite, but ||A||_2^300 is near 1e372
+    a = 0.5 * np.random.default_rng(53).standard_normal((300, 300))
+    est = permanent_gurvits(a, samples=64, seed=5)
+    assert est.error_bound == math.inf
+    assert np.isfinite(est.value)
+    assert est.extra["stderr"] == math.inf
 
 
 def test_gurvits_memory_bounded():

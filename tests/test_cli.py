@@ -61,6 +61,17 @@ def test_compute_gurvits_accepts_samples(tmp_path, capsys):
     assert payload["error_bound"] > 0.0
 
 
+def test_compute_gurvits_overflowing_bound(tmp_path, capsys):
+    # finite terms, but ||A||_2^300 overflows a float: the bound is reported as inf
+    a = 0.5 * np.random.default_rng(53).standard_normal((300, 300))
+    path = write_matrix(tmp_path / "m.json", a)
+    code, payload = run_json(capsys, [
+        "compute", "--input", path, "--method", "gurvits", "--samples", "64"])
+    assert code == 0
+    assert payload["error_bound"] == float("inf")
+    assert all(np.isfinite(payload["value"]))
+
+
 def test_quantum_auto_dt_accuracy(tmp_path, capsys):
     rng = np.random.default_rng(73)
     a = rng.standard_normal((3, 3)) * 0.05
@@ -196,6 +207,8 @@ def test_manifest_written(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(manifest.read_text())
     assert data["command"] == "quantum"
+    assert data["argv"] == ["quantum", "--input", path, "--dt", "0.4",
+                            "--manifest", str(manifest)]
     assert data["config"]["dt"] == 0.4
     assert data["versions"].startswith("isingperm ")
 

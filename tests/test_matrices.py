@@ -155,3 +155,9 @@ def test_json_parse_error_names_row():
     bad = {"n": 2, "rows": [[1.0, 2.0], [3.0, "x"]]}
     with pytest.raises(InvalidInputError, match="row 1"):
         matrix_from_json(bad)
+
+
+def test_json_boolean_dimension_rejected():
+    # bool is an int subclass; "n": true must not read as n = 1
+    with pytest.raises(InvalidInputError, match='"n"'):
+        matrix_from_json({"n": True, "rows": [[1]]})
