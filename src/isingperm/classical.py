@@ -26,7 +26,7 @@ from itertools import permutations
 import numpy as np
 
 from . import matrices
-from .accumulate import KahanSum, block_sum
+from .accumulate import block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
 from .matrices import as_matrix, sign_blocks, sign_matrix
 
@@ -67,21 +67,19 @@ def permanent_naive(a) -> PermanentEstimate:
     _check_cap(n, _NAIVE_MAX_N, "permanent_naive")
     arr = m.array
     rows = np.arange(n)
-    acc = KahanSum(0j)
+    sums = []
     count = 0
     chunk = []
     for perm in permutations(range(n)):
         chunk.append(perm)
         if len(chunk) == 65536:
-            vals = arr[rows, np.array(chunk)].prod(axis=1)
-            acc.add(complex(vals.sum()))
+            sums.append(arr[rows, np.array(chunk)].prod(axis=1).sum())
             count += len(chunk)
             chunk = []
     if chunk:
-        vals = arr[rows, np.array(chunk)].prod(axis=1)
-        acc.add(complex(vals.sum()))
+        sums.append(arr[rows, np.array(chunk)].prod(axis=1).sum())
         count += len(chunk)
-    return PermanentEstimate(value=complex(acc.total), method="naive",
+    return PermanentEstimate(value=complex(block_sum(sums)), method="naive",
                              error_bound=0.0, wall_terms=count)
 
 
@@ -89,16 +87,17 @@ def _entries(m) -> np.ndarray:
     return m.real_part if m.is_real else m.array
 
 
-def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray) -> complex:
+def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray):
     """Sum over sign vectors x of par(x) * prod_j (shift + x @ w)_j.
 
     shift is an (m, 1) column, added to each block of m-vectors in place.
+    The sum is a float for real w and a complex for complex w.
     """
-    acc = KahanSum(0.0)
+    sums = []
     for par, cols in sign_blocks(w, 2 * w.itemsize * w.shape[1]):
         cols += shift
-        acc.add(block_sum(par * cols.prod(axis=0)))
-    return complex(acc.total)
+        sums.append(block_sum(par * cols.prod(axis=0)))
+    return block_sum(sums)
 
 
 def permanent_ryser(a) -> PermanentEstimate:
@@ -113,7 +112,7 @@ def permanent_ryser(a) -> PermanentEstimate:
     _check_cap(n, _RYSER_MAX_N, "permanent_ryser")
     arr = _entries(m)
     value = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1)[:, None])
-    return PermanentEstimate(value=value, method="ryser",
+    return PermanentEstimate(value=complex(value), method="ryser",
                              error_bound=0.0, wall_terms=(1 << n) - 1)
 
 
@@ -129,7 +128,7 @@ def permanent_glynn(a) -> PermanentEstimate:
     _check_cap(n, _GLYNN_MAX_N, "permanent_glynn")
     w = _entries(m).T
     value = _signed_row_product_sum(w[1:], w[0][:, None]) / (1 << (n - 1))
-    return PermanentEstimate(value=value, method="glynn",
+    return PermanentEstimate(value=complex(value), method="glynn",
                              error_bound=0.0, wall_terms=1 << n)
 
 
@@ -160,21 +159,21 @@ def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, c
     unsigned term q^N changes by (-1)^N, so 4 times its quarter is the full
     total only at even N; at odd N the full total is 0.  Each x' row's signed
     inner sum over x is formed pairwise first; the rows of a block are then
-    summed correctly rounded and blocks Kahan-summed.
+    summed correctly rounded, and so are the block sums.
     """
     n = arr.shape[0]
     x = sign_matrix(n)[::2]
     par_x = x.prod(axis=1)
-    signed = KahanSum(0.0)
-    total = KahanSum(0.0)
+    signed = []
+    total = []
     # q^N and two temporaries: three 2^(N-1)-wide rows per x'
     for par_xp, u in sign_blocks(arr[1:], 3 * arr.itemsize << (n - 1)):
         u += arr[0][:, None]
         qn = _int_power(u.T @ x.T, n)
-        signed.add(block_sum(par_xp * (qn * par_x).sum(axis=1)))
+        signed.append(block_sum(par_xp * (qn * par_x).sum(axis=1)))
         if unsigned:
-            total.add(block_sum(qn.sum(axis=1)))
-    return 4 * signed.total, 4 * total.total if unsigned else None
+            total.append(block_sum(qn.sum(axis=1)))
+    return 4 * block_sum(signed), 4 * block_sum(total) if unsigned else None
 
 
 def permanent_glynn_kan(a) -> PermanentEstimate:
@@ -265,8 +264,8 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
     # the products x_j (A x)_j
     batch = max(1, matrices._BLOCK_BYTES // (8 * words + (9 + arr.itemsize) * n))
     bit_gen = np.random.default_rng(seed).bit_generator
-    total = KahanSum(0j)
-    total_sq = KahanSum(0.0)
+    sums = []
+    sums_sq = []
     for done in range(0, samples, batch):
         b = min(batch, samples - done)
         raw = bit_gen.random_raw(b * words).astype("<u8", copy=False).view(np.uint8)
@@ -276,10 +275,10 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
         cols = arr @ x
         cols *= x
         vals = cols.prod(axis=0)
-        total.add(complex(vals.sum()))
-        total_sq.add(float(np.vdot(vals, vals).real))
-    mean = total.total / samples
-    second = total_sq.total / samples  # inf or nan once the squared terms overflow
+        sums.append(vals.sum())
+        sums_sq.append(np.vdot(vals, vals).real)
+    mean = block_sum(sums) / samples
+    second = block_sum(sums_sq) / samples  # inf or nan once the squared terms overflow
     var = max(second - abs(mean) ** 2, 0.0) if math.isfinite(second) else math.inf
     stderr = math.sqrt(var / samples)
     try:

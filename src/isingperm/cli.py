@@ -68,9 +68,24 @@ def _estimate_payload(est: PermanentEstimate) -> dict:
     }
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None, for strict JSON (null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    return json.dumps(_strict(obj), allow_nan=False, **kwargs)
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload))
+        print(_dumps(payload))
         return
     for key, value in payload.items():
         print(f"{key:24s} {value}")
@@ -90,8 +105,7 @@ def _write_manifest(args, outputs: list[str], config: dict | None = None) -> Non
         "seed": getattr(args, "seed", None),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(_dumps(manifest, indent=2) + "\n")
 
 
 def _cmd_compute(args) -> int:
@@ -172,7 +186,7 @@ def _cmd_quantum(args) -> int:
 def _cmd_resources(args) -> int:
     report = resource_table(args.n, is_complex=args.complex)
     if args.format == "json":
-        print(json.dumps(asdict(report)))
+        print(_dumps(asdict(report)))
     elif args.format == "csv":
         fields = ["n", "is_complex", "overlaps", "qubits", "cnots_formula",
                   "depth_formula", "cnots_measured", "depth_measured",

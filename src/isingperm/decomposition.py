@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accumulate import KahanSum
+from .accumulate import block_sum
 from .classical import PermanentEstimate
 from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
 from .matrices import SquareMatrix, as_matrix, sign_matrix
@@ -141,25 +141,22 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _shifted(coef_b: float, coef_c: float, b: np.ndarray, c: np.ndarray | None,
+def _shifted(coef_b: float, coef_c: float, b: np.ndarray, c: np.ndarray,
              shift: float) -> SquareMatrix:
-    arr = coef_b * b
-    if c is not None:
-        arr = arr + coef_c * c
-    arr = arr + shift * np.eye(b.shape[0])
-    return SquareMatrix(arr)
+    return SquareMatrix(coef_b * b + coef_c * c + shift * np.eye(b.shape[0]))
 
 
 def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     """Overlap terms whose weighted sum approximates Per(A).
 
-    Real input yields the N+1 binomial terms with shifted matrices
-    (N-2l) B + (pi/dt) I; the parity operator is absorbed into the diagonal
-    shift.  With time-reversal halving only l <= floor((N-1)/2) are emitted,
-    flagged and with doubled weight (the self-paired middle term of even N
-    has a vanishing overlap and is dropped).  Complex input expands over the
-    triple binomial (l, j, k); the time-reversal partner of (l, j, k) is
-    (l, N-l-j, l-k), and again the self-paired terms vanish identically.
+    A = B + iC expands over the triple binomial (l, j, k) with shifted
+    matrices (N-l-2j) B + (l-2k) C + (pi/dt) I; the parity operator is
+    absorbed into the diagonal shift.  Real input is the l = 0 slice, since
+    C = 0 makes every l >= 1 term vanish: the N+1 binomial terms (0, j, 0)
+    with matrices (N-2j) B + (pi/dt) I.  The time-reversal partner of
+    (l, j, k) is (l, N-l-j, l-k); with halving only the lesser of each pair
+    is emitted, flagged and with doubled weight, and the self-paired terms,
+    whose overlaps vanish identically, are dropped.
 
     Weights are assembled in log-magnitude + phase form so the 1/(N! dt^N)
     prefactor never overflows on its own.
@@ -172,29 +169,13 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     log_pref = -math.lgamma(n + 1) - n * math.log(dt)
     sign_n = -1.0 if n % 2 else 1.0
     b = m.real_part
-    terms: list[OverlapTerm] = []
-
-    if m.is_real:
-        l_range = range((n + 1) // 2) if cfg.halve_by_time_reversal else range(n + 1)
-        for l in l_range:
-            mag = math.exp(_log_comb(n, l) + log_pref)
-            weight = sign_n * (-1.0 if l % 2 else 1.0) * mag
-            if cfg.halve_by_time_reversal:
-                weight *= 2.0
-            terms.append(OverlapTerm(
-                matrix=_shifted(float(n - 2 * l), 0.0, b, None, shift),
-                weight=complex(weight),
-                indices=(l,),
-                uses_conjugate_pair=cfg.halve_by_time_reversal,
-            ))
-        return terms
-
     c = m.imag_part
-    for l in range(n + 1):
+    terms: list[OverlapTerm] = []
+    halved = cfg.halve_by_time_reversal
+    for l in range(1 if m.is_real else n + 1):
         for j in range(n - l + 1):
             for k in range(l + 1):
                 partner = (n - l - j, l - k)
-                halved = cfg.halve_by_time_reversal
                 if halved:
                     if (j, k) == partner:
                         continue  # shifted matrix is exactly (pi/dt) I; overlap 0
@@ -247,7 +228,7 @@ def finite_difference_bound(a, dt: float, eps_fd: float = 1.0) -> float:
 
 
 def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEstimate:
-    """Weighted compensated sum of overlap values.
+    """Weighted, correctly rounded sum of overlap values.
 
     Conjugate-paired terms contribute weight * Re(overlap); the rest use the
     full complex value.  When the source matrix is supplied the analytic
@@ -259,14 +240,10 @@ def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEst
         raise InvalidInputError(
             f"{len(overlaps)} overlaps supplied for {len(terms)} terms"
         )
-    acc = KahanSum(0j)
-    for term, overlap in zip(terms, overlaps):
-        if term.uses_conjugate_pair:
-            acc.add(term.weight * complex(overlap).real)
-        else:
-            acc.add(term.weight * complex(overlap))
+    value = block_sum([t.weight * (complex(o).real if t.uses_conjugate_pair else complex(o))
+                       for t, o in zip(terms, overlaps)])
     bound = finite_difference_bound(matrix, cfg.dt) if matrix is not None else None
-    return PermanentEstimate(value=complex(acc.total), method="quantum_protocol",
+    return PermanentEstimate(value=complex(value), method="quantum_protocol",
                              error_bound=bound, wall_terms=len(terms),
                              extra={"dt": cfg.dt})
 
@@ -275,14 +252,17 @@ def run_protocol(a, cfg: ProtocolConfig, evaluator) -> PermanentEstimate:
     """Generate terms, evaluate every overlap, and recombine.
 
     evaluator(term, dt_half, index) -> complex overlap value; indices are
-    assigned in term order so per-term seeds stay reproducible.
+    assigned in term order so per-term seeds stay reproducible.  In shots
+    mode samples_used counts one circuit's shots per conjugate-paired term
+    and two (Re and Im) per unpaired term, as shot_overlap_evaluator draws.
     """
     m = as_matrix(a)
     terms = generate_terms(m, cfg)
     overlaps = [evaluator(t, cfg.dt / 2.0, i) for i, t in enumerate(terms)]
     est = recombine(terms, overlaps, cfg, matrix=m)
     if cfg.mode == "hadamard_shots":
-        est.samples_used = cfg.shots_per_overlap * len(terms)
+        circuits = sum(1 if t.uses_conjugate_pair else 2 for t in terms)
+        est.samples_used = cfg.shots_per_overlap * circuits
     est.extra["overlaps"] = overlaps
     return est
 
@@ -296,21 +276,24 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
     eliminates the leading 2m-th order error.  Per-level estimates and the
     last-column residuals are reported so a non-dt^2 signal stays visible.
 
-    Level i hands the evaluator term indices i * T .. i * T + T - 1 (T terms
-    per level), so an evaluator that seeds by index (shot_overlap_evaluator)
-    draws fresh shots at every level, and level 0 numbers its terms exactly
-    as run_protocol does.
+    Each level numbers its terms on from the last index the earlier levels
+    used, so an evaluator that seeds by index (shot_overlap_evaluator) draws
+    fresh shots at every level, and level 0 numbers its terms exactly as
+    run_protocol does.  samples_used is the sum over the levels.
     """
     if levels < 0 or levels > _RICHARDSON_MAX_LEVELS:
         raise InvalidInputError(f"richardson levels must be in 0..{_RICHARDSON_MAX_LEVELS}")
     m = as_matrix(a)
-    count = len(generate_terms(m, base_cfg))
     per_level = []
+    wall_terms = 0
+    samples = 0
     for i in range(levels + 1):
         cfg_i = replace(base_cfg, dt=base_cfg.dt / 2**i, richardson_levels=0)
-        est = run_protocol(m, cfg_i, lambda term, dt_half, index, first=i * count:
+        est = run_protocol(m, cfg_i, lambda term, dt_half, index, first=wall_terms:
                            evaluator(term, dt_half, first + index))
         per_level.append(est.value)
+        wall_terms += est.wall_terms
+        samples += est.samples_used or 0
 
     tableau = [list(per_level)]
     for col in range(1, levels + 1):
@@ -325,7 +308,8 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
     bound = finite_difference_bound(m, base_cfg.dt / 2**levels)
     return PermanentEstimate(
         value=complex(value), method="quantum_protocol", error_bound=bound,
-        wall_terms=count * (levels + 1),
+        samples_used=samples if base_cfg.mode == "hadamard_shots" else None,
+        wall_terms=wall_terms,
         extra={"per_level": per_level, "residuals": residuals,
                "base_dt": base_cfg.dt, "levels": levels},
     )

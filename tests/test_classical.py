@@ -160,6 +160,15 @@ def test_overflow_gives_nonfinite_value():
             assert not np.isfinite(method(a).value), method.__name__
 
 
+def test_overflow_reads_inf_across_blocks_and_batches(monkeypatch):
+    # every term is +inf; a sum over several batches or blocks must stay inf
+    with np.errstate(over="ignore"):
+        est = permanent_gurvits(1e200 * np.eye(2), samples=60_000, seed=1)  # 3 batches
+        assert est.value == complex(math.inf, 0.0)
+        monkeypatch.setattr(matrices, "_BLOCK_BYTES", 1 << 11)  # 2^4 of Glynn's 2^7 vectors
+        assert permanent_glynn(1e50 * np.eye(8)).value == complex(math.inf, 0.0)
+
+
 def test_known_values():
     ones4 = np.ones((4, 4))
     assert permanent_ryser(ones4).value == pytest.approx(24.0, abs=1e-9)

@@ -68,8 +68,26 @@ def test_compute_gurvits_overflowing_bound(tmp_path, capsys):
     code, payload = run_json(capsys, [
         "compute", "--input", path, "--method", "gurvits", "--samples", "64"])
     assert code == 0
-    assert payload["error_bound"] == float("inf")
+    assert payload["error_bound"] is None  # inf, written as null
     assert all(np.isfinite(payload["value"]))
+
+
+def test_compute_output_is_strict_json(tmp_path, capsys):
+    # every term overflows: the value, bound and stderr are not finite
+    path = write_matrix(tmp_path / "m.json", np.full((3, 3), 1e200))
+    manifest = tmp_path / "manifest.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["compute", "--input", path, "--method", "gurvits", "--samples", "64",
+                     "--manifest", str(manifest)])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["error_bound"] is None
+    assert payload["extra"]["stderr"] is None
+    json.loads(manifest.read_text(), parse_constant=reject)
 
 
 def test_quantum_auto_dt_accuracy(tmp_path, capsys):

@@ -163,8 +163,8 @@ def test_shifted_matrices_real():
     cfg = ProtocolConfig(dt=dt, halve_by_time_reversal=False)
     terms = generate_terms(a, cfg)
     for term in terms:
-        (l,) = term.indices
-        expected = (3 - 2 * l) * a + (math.pi / dt) * np.eye(3)
+        _, j, _ = term.indices
+        expected = (3 - 2 * j) * a + (math.pi / dt) * np.eye(3)
         assert np.allclose(term.matrix.array, expected, atol=1e-12)
 
 
@@ -174,10 +174,10 @@ def test_time_reversal_overlap_conjugation():
     dt = safe_dt(a)
     cfg = ProtocolConfig(dt=dt, halve_by_time_reversal=False)
     terms = generate_terms(a, cfg)
-    by_l = {t.indices[0]: t for t in terms}
-    for l in range(4):
-        o1 = overlap_exact(by_l[l].matrix.array, dt / 2.0).value
-        o2 = overlap_exact(by_l[3 - l].matrix.array, dt / 2.0).value
+    by_j = {t.indices[1]: t for t in terms}
+    for j in range(4):
+        o1 = overlap_exact(by_j[j].matrix.array, dt / 2.0).value
+        o2 = overlap_exact(by_j[3 - j].matrix.array, dt / 2.0).value
         assert o2 == pytest.approx(-np.conj(o1), abs=1e-12)
 
 
@@ -339,6 +339,26 @@ def test_richardson_levels_draw_fresh_shot_seeds(monkeypatch):
     assert len(set(seeds)) == len(seeds)
     plain = run_protocol(a, cfg, shot_overlap_evaluator(64, 11))
     assert est.extra["per_level"][0] == plain.value
+
+
+def test_samples_used_counts_shots_drawn(monkeypatch):
+    # real N = 4 without halving: every term is unpaired, so each draws Re and Im
+    a = small_matrix(4, 19)
+    cfg = ProtocolConfig(dt=safe_dt(a), mode="hadamard_shots", shots_per_overlap=100,
+                         seed=3, halve_by_time_reversal=False)
+    drawn = []
+    overlap_shots = simulator.overlap_shots
+
+    def recording_shots(m, dt_half, shots, seed, measure_imag=False):
+        drawn.append(shots)
+        return overlap_shots(m, dt_half, shots, seed, measure_imag=measure_imag)
+
+    monkeypatch.setattr(simulator, "overlap_shots", recording_shots)
+    est = run_protocol(a, cfg, shot_overlap_evaluator(100, 3))
+    assert est.samples_used == sum(drawn) == 1000
+    drawn.clear()
+    est = richardson_extrapolate(a, cfg, 2, shot_overlap_evaluator(100, 3))
+    assert est.samples_used == sum(drawn) == 3000
 
 
 def test_richardson_level_cap():
