@@ -26,7 +26,7 @@ from itertools import permutations
 import numpy as np
 
 from . import matrices
-from .accumulate import block_sum
+from .accumulate import LaneSum, block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
 from .matrices import as_matrix, sign_blocks, sign_matrix
 
@@ -93,11 +93,13 @@ def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray):
     shift is an (m, 1) column, added to each block of m-vectors in place.
     The sum is a float for real w and a complex for complex w.
     """
-    sums = []
+    lanes = LaneSum()
     for par, cols in sign_blocks(w, 2 * w.itemsize * w.shape[1]):
         cols += shift
-        sums.append(block_sum(par * cols.prod(axis=0)))
-    return block_sum(sums)
+        terms = cols.prod(axis=0)
+        terms *= par
+        lanes.add(terms)
+    return lanes.total()
 
 
 def permanent_ryser(a) -> PermanentEstimate:
@@ -262,17 +264,20 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
     words = -(-n // 64)
     # per sample: its words, one byte per unpacked bit, the float signs and
     # the products x_j (A x)_j
-    batch = max(1, matrices._BLOCK_BYTES // (8 * words + (9 + arr.itemsize) * n))
+    batch = min(samples, max(1, matrices._BLOCK_BYTES // (8 * words + (9 + arr.itemsize) * n)))
     bit_gen = np.random.default_rng(seed).bit_generator
+    # the signs and products of every batch, the last short one in flat views
+    x_buf = np.empty(n * batch)
+    cols_buf = np.empty(n * batch, dtype=arr.dtype)
     sums = []
     sums_sq = []
     for done in range(0, samples, batch):
         b = min(batch, samples - done)
         raw = bit_gen.random_raw(b * words).astype("<u8", copy=False).view(np.uint8)
         bits = np.unpackbits(raw.reshape(b, 8 * words), axis=1, count=n, bitorder="little")
-        x = np.multiply(bits.T, 2.0, order="C")  # one sign vector per column
+        x = np.multiply(bits.T, 2.0, out=x_buf[:n * b].reshape(n, b))  # one sign vector per column
         x -= 1.0
-        cols = arr @ x
+        cols = np.matmul(arr, x, out=cols_buf[:n * b].reshape(n, b))
         cols *= x
         vals = cols.prod(axis=0)
         sums.append(vals.sum())

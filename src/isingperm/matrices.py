@@ -105,23 +105,29 @@ def sign_blocks(w: np.ndarray, row_bytes: int):
 
     Each block holds the m-vectors X @ w of its 2^k sign vectors as columns of
     an (m, 2^k) C-contiguous array, so a product over one sign vector's m
-    coordinates is prod(axis=0), which runs along contiguous rows; every
-    block is a new array, which the caller may overwrite.  The low k
-    bits of the sign-vector index form one block, built once; each block adds
-    the signed sum of w's rows for its high bits.  row_bytes is what the
-    caller materialises per sign vector; k is the largest that keeps 2^k such
-    vectors within _BLOCK_BYTES.
+    coordinates is prod(axis=0), which runs along contiguous rows.  Every
+    block is written into one buffer allocated once per walk: the next block
+    overwrites this one, and the caller may overwrite it too.  par(X) is one
+    of two read-only arrays.  The low k bits of the sign-vector index form
+    one block, built once; each block adds the signed sum of w's rows for its
+    high bits.  row_bytes is what the caller materialises per sign vector; k
+    is the largest that keeps 2^k such vectors within _BLOCK_BYTES.
     """
     n = w.shape[0]
     k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
     low = sign_matrix(k)
     low_par = low.prod(axis=1)
+    pars = low_par, -low_par
+    for p in pars:
+        p.setflags(write=False)
     low_w = w[:k].T @ low.T
     high_w = w[k:]
     high_bits = np.arange(n - k)
+    cols = np.empty_like(low_w)
     for h in range(1 << (n - k)):
-        signs = 1.0 - 2.0 * ((h >> high_bits) & 1)
-        yield low_par * signs.prod(), low_w + (signs @ high_w)[:, None]
+        bits = (h >> high_bits) & 1
+        np.add(low_w, ((1.0 - 2.0 * bits) @ high_w)[:, None], out=cols)
+        yield pars[int(bits.sum()) & 1], cols
 
 
 def ising_diag_spectral_norm(a) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accumulate import block_sum
+from .accumulate import LaneSum
 from .errors import DimensionTooLargeError, InvalidInputError
 from .matrices import as_matrix, sign_blocks
 
@@ -282,10 +282,13 @@ def overlap_exact(m, dt_half: float) -> OverlapResult:
     n = arr.shape[0]
     if n > _OVERLAP_MAX_N:
         raise DimensionTooLargeError(f"overlap_exact capped at n <= {_OVERLAP_MAX_N}")
-    # per x': (x'^T M)^T and its cosines
-    total = block_sum([block_sum(np.cos(dt_half * cols).prod(axis=0))
-                       for _, cols in sign_blocks(arr, 16 * n)])
-    return OverlapResult(real_part=total / 2**n, imag_part=0.0,
+    # per x': (x'^T M)^T in the walk's fixed low part and in its block, where
+    # the cosines are taken in place
+    lanes = LaneSum()
+    for _, cols in sign_blocks(arr, 16 * n):
+        cols *= dt_half
+        lanes.add(np.cos(cols, out=cols).prod(axis=0))
+    return OverlapResult(real_part=lanes.total() / 2**n, imag_part=0.0,
                          variance_estimate=0.0, shots_used=0, mode="exact")
 
 

@@ -12,6 +12,7 @@ from isingperm import (
     InvalidInputError,
     gaussian_ensemble,
     norms,
+    overlap_exact,
     permanent_gapp,
     permanent_glynn,
     permanent_glynn_kan,
@@ -132,6 +133,21 @@ def test_exact_methods_match_integer_oracle(kernel, n, complex_):
         got = method(a).value
         err = math.hypot(float(Fraction(got.real) - want_re), float(Fraction(got.imag) - want_im))
         assert err <= 16 * U * _abs_term_sum(kernel, a), (kernel, n, complex_)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walks_independent_of_block_size(seed, monkeypatch):
+    # entries in -2..2 at N = 8 keep every Ryser and Glynn term and partial
+    # sum an integer below 2^53, so both must be exact at any block size
+    a = np.random.default_rng(seed).integers(-2, 3, (8, 8)).astype(float)
+    want = complex(exact_integer_permanent(a)[0])
+    values = []
+    for block_bytes in (matrices._BLOCK_BYTES, 4 << 10):  # 4 KiB: 4 to 8 blocks per walk
+        monkeypatch.setattr(matrices, "_BLOCK_BYTES", block_bytes)
+        values.append((permanent_ryser(a).value, permanent_glynn(a).value,
+                       overlap_exact(0.1 * a, 0.7).value))
+    assert repr(values[0]) == repr(values[1])  # repr tells every float apart, -0.0 included
+    assert values[0][:2] == (want, want)
 
 
 # N = 1 leaves the half-cube walks an empty sign vector; N = 2, 3 cover even

@@ -127,12 +127,16 @@ def test_sign_blocks_contract(n, low_bits, complex_, monkeypatch):
         w = w + 1j * rng.integers(-4, 5, (n, 3))
     row_bytes = 48
     monkeypatch.setattr(matrices, "_BLOCK_BYTES", row_bytes << low_bits)
-    blocks = list(matrices.sign_blocks(w, row_bytes))
+    # the next block overwrites this one, so copy each block as it arrives
+    blocks, buffers = [], set()
     width = 1 << min(n, low_bits)
-    assert len(blocks) == (1 << n) // width
-    for par, cols in blocks:
+    for par, cols in matrices.sign_blocks(w, row_bytes):
         assert par.shape == (width,)
         assert cols.shape == (3, width) and cols.flags.c_contiguous
+        buffers.add(cols.__array_interface__["data"][0])
+        blocks.append((par.copy(), cols.copy()))
+    assert len(blocks) == (1 << n) // width
+    assert len(buffers) == 1
     x = matrices.sign_matrix(n)
     assert np.array_equal(np.concatenate([par for par, _ in blocks]), x.prod(axis=1))
     assert np.array_equal(np.concatenate([cols for _, cols in blocks], axis=1), (x @ w).T)
