@@ -9,7 +9,7 @@ recombines evaluated overlaps, and Richardson-extrapolates in dt^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +28,9 @@ class OverlapTerm:
     """One shifted-matrix propagator and its combination weight.
 
     The weight already carries the sign, binomials, i^l phase, and this
-    term's share of the (-1)^N / (N! dt^N) prefactor (doubled when the term
-    represents a conjugate pair).
+    term's share of the (-1)^N / (N! dt^N) prefactor.  uses_conjugate_pair
+    marks a term that stands for its time-reversal pair, so its weight is
+    doubled.
     """
 
     matrix: SquareMatrix
@@ -228,11 +229,12 @@ def finite_difference_bound(a, dt: float, eps_fd: float = 1.0) -> float:
 
 
 def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEstimate:
-    """Weighted, correctly rounded sum of overlap values.
+    """Weighted, correctly rounded sum of the real overlap values.
 
-    Conjugate-paired terms contribute weight * Re(overlap); the rest use the
-    full complex value.  When the source matrix is supplied the analytic
-    finite-difference bound is attached as error_bound.
+    Every term contributes weight * Re(overlap): each overlap is real (see
+    simulator.overlap_exact), so an imaginary part could only be noise.  When
+    the source matrix is supplied the analytic finite-difference bound is
+    attached as error_bound.
     """
     terms = list(terms)
     overlaps = list(overlaps)
@@ -240,8 +242,7 @@ def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEst
         raise InvalidInputError(
             f"{len(overlaps)} overlaps supplied for {len(terms)} terms"
         )
-    value = block_sum([t.weight * (complex(o).real if t.uses_conjugate_pair else complex(o))
-                       for t, o in zip(terms, overlaps)])
+    value = block_sum([t.weight * complex(o).real for t, o in zip(terms, overlaps)])
     bound = finite_difference_bound(matrix, cfg.dt) if matrix is not None else None
     return PermanentEstimate(value=complex(value), method="quantum_protocol",
                              error_bound=bound, wall_terms=len(terms),
@@ -251,18 +252,16 @@ def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEst
 def run_protocol(a, cfg: ProtocolConfig, evaluator) -> PermanentEstimate:
     """Generate terms, evaluate every overlap, and recombine.
 
-    evaluator(term, dt_half, index) -> complex overlap value; indices are
+    evaluator(term, dt_half, index) -> real overlap value; indices are
     assigned in term order so per-term seeds stay reproducible.  In shots
-    mode samples_used counts one circuit's shots per conjugate-paired term
-    and two (Re and Im) per unpaired term, as shot_overlap_evaluator draws.
+    mode samples_used counts one circuit's shots per term.
     """
     m = as_matrix(a)
     terms = generate_terms(m, cfg)
     overlaps = [evaluator(t, cfg.dt / 2.0, i) for i, t in enumerate(terms)]
     est = recombine(terms, overlaps, cfg, matrix=m)
     if cfg.mode == "hadamard_shots":
-        circuits = sum(1 if t.uses_conjugate_pair else 2 for t in terms)
-        est.samples_used = cfg.shots_per_overlap * circuits
+        est.samples_used = cfg.shots_per_overlap * len(terms)
     est.extra["overlaps"] = overlaps
     return est
 

@@ -331,27 +331,21 @@ def hoeffding_shots(epsilon_ht: float, delta: float) -> int:
 
 
 def exact_overlap_evaluator():
-    """Overlap evaluator callback computing the full complex value exactly."""
+    """Overlap evaluator callback computing the real overlap exactly."""
 
-    def evaluate(term, dt_half: float, index: int) -> complex:
-        return overlap_exact(term.matrix, dt_half).value
+    def evaluate(term, dt_half: float, index: int) -> float:
+        return overlap_exact(term.matrix, dt_half).real_part
 
     return evaluate
 
 
 def shot_overlap_evaluator(shots: int, seed: int):
-    """Shot-mode evaluator; per-term seeds are derived as seed + index.
+    """Shot-mode evaluator: one Re Hadamard test per term, seeded seed + index.
 
-    Conjugate-paired terms only need the real part (one circuit); unpaired
-    terms run the Sdg variant as well for the imaginary part.
+    Every overlap is real, so no term needs the Sdg (Im) circuit.
     """
 
-    def evaluate(term, dt_half: float, index: int) -> complex:
-        re = overlap_shots(term.matrix, dt_half, shots, seed + index).real_part
-        if term.uses_conjugate_pair:
-            return complex(re, 0.0)
-        im = overlap_shots(term.matrix, dt_half, shots, seed + index + 0x7FFF0001,
-                           measure_imag=True).imag_part
-        return complex(re, im)
+    def evaluate(term, dt_half: float, index: int) -> float:
+        return overlap_shots(term.matrix, dt_half, shots, seed + index).real_part
 
     return evaluate

@@ -317,7 +317,7 @@ def test_richardson_reports_levels_and_residuals():
 
 def test_richardson_levels_draw_fresh_shot_seeds(monkeypatch):
     a = small_matrix(2, 18, complex_=True)
-    # unpaired terms draw both Re and Im
+    # unpaired terms draw one Re Hadamard test each, like paired ones
     cfg = ProtocolConfig(dt=safe_dt(a), mode="hadamard_shots", shots_per_overlap=64,
                          seed=11, halve_by_time_reversal=False)
     indices, seeds = [], []
@@ -335,14 +335,14 @@ def test_richardson_levels_draw_fresh_shot_seeds(monkeypatch):
     monkeypatch.setattr(simulator, "overlap_shots", recording_shots)
     est = richardson_extrapolate(a, cfg, 2, recording_evaluator)
     assert sorted(indices) == list(range(3 * len(generate_terms(a, cfg))))
-    assert len(seeds) == 2 * len(indices)
+    assert len(seeds) == len(indices)
     assert len(set(seeds)) == len(seeds)
     plain = run_protocol(a, cfg, shot_overlap_evaluator(64, 11))
     assert est.extra["per_level"][0] == plain.value
 
 
 def test_samples_used_counts_shots_drawn(monkeypatch):
-    # real N = 4 without halving: every term is unpaired, so each draws Re and Im
+    # real N = 4 without halving: every term is unpaired and draws one circuit
     a = small_matrix(4, 19)
     cfg = ProtocolConfig(dt=safe_dt(a), mode="hadamard_shots", shots_per_overlap=100,
                          seed=3, halve_by_time_reversal=False)
@@ -355,10 +355,10 @@ def test_samples_used_counts_shots_drawn(monkeypatch):
 
     monkeypatch.setattr(simulator, "overlap_shots", recording_shots)
     est = run_protocol(a, cfg, shot_overlap_evaluator(100, 3))
-    assert est.samples_used == sum(drawn) == 1000
+    assert est.samples_used == sum(drawn) == 500
     drawn.clear()
     est = richardson_extrapolate(a, cfg, 2, shot_overlap_evaluator(100, 3))
-    assert est.samples_used == sum(drawn) == 3000
+    assert est.samples_used == sum(drawn) == 1500
 
 
 def test_richardson_level_cap():
