@@ -229,13 +229,12 @@ def permanent_gapp(b) -> PermanentEstimate:
     )
 
 
-def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> PermanentEstimate:
+def permanent_gurvits(a, samples: int, seed: int) -> PermanentEstimate:
     """Gurvits Monte-Carlo estimator of the Glynn average.
 
     Unbiased mean of (prod_k x_k)(prod_j A_j . x) over i.i.d. uniform sign
     vectors; reported error_bound is the 3-sigma-style envelope
-    3 ||A||_2^N / sqrt(samples).  With exhaustive=True all 2^N sign vectors
-    are enumerated once, reproducing the exact Glynn value.
+    3 ||A||_2^N / sqrt(samples).
 
     Random stream: sample i takes the next ceil(N/64) 64-bit outputs of
     np.random.default_rng(seed).bit_generator, and its coordinate j is +1
@@ -253,13 +252,6 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
     n = m.n
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    if exhaustive:
-        _check_cap(n, _GLYNN_MAX_N, "permanent_gurvits(exhaustive)")
-        value = permanent_glynn(m).value
-        return PermanentEstimate(value=value, method="gurvits", error_bound=0.0,
-                                 samples_used=1 << n, wall_terms=1 << n,
-                                 extra={"stderr": 0.0, "exhaustive": True})
-
     arr = _entries(m)
     words = -(-n // 64)
     # per sample: its words, one byte per unpacked bit, the float signs and
@@ -292,4 +284,4 @@ def permanent_gurvits(a, samples: int, seed: int, exhaustive: bool = False) -> P
         bound = math.inf
     return PermanentEstimate(value=complex(mean), method="gurvits", error_bound=bound,
                              samples_used=samples, wall_terms=samples,
-                             extra={"stderr": stderr, "exhaustive": False})
+                             extra={"stderr": stderr})

@@ -9,14 +9,16 @@ uniform, so the overlap factorizes:
     <phi|U(M; t)|phi> = mean_{x'} prod_j cos(t (x'^T M)_j),
 
 a real number (x -> -x conjugates each phase) computed in N 2^N work over
-the blocked sign-vector walk of matrices.sign_blocks.  The statevector
-simulator remains the Hadamard-test oracle and the shot-mode sampler; shot
-mode simulates the native circuit (one controlled-RZZ per matrix entry).  It
-applies each gate in place on reshaped views of the state, one length-2 axis
-per qubit the gate touches, so no per-gate index masks are built.  H and the
-diagonal gates need no temporary, so a Hadamard test peaks at about 1.0x the
-state (about 1 GiB at the 26-qubit cap); X and CNOT still copy a half or a
-quarter of the state.
+the blocked sign-vector walk of matrices.sign_blocks.  Both protocol
+evaluators therefore return the real overlap, and shot mode runs one Re
+Hadamard test per term; the Sdg (Im) circuit is kept as a checked circuit
+only.  The statevector simulator remains the Hadamard-test oracle and the
+shot-mode sampler; shot mode simulates the native circuit (one
+controlled-RZZ per matrix entry).  It applies each gate in place on reshaped
+views of the state, one length-2 axis per qubit the gate touches, so no
+per-gate index masks are built.  H and the diagonal gates need no temporary,
+so a Hadamard test peaks at about 1.0x the state (about 1 GiB at the
+26-qubit cap); X and CNOT still copy a half or a quarter of the state.
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ def overlap_exact(m, dt_half: float) -> OverlapResult:
                          variance_estimate=0.0, shots_used=0, mode="exact")
 
 
-def overlap_shots(m, dt_half: float, shots: int, seed: int,
+def overlap_shots(m, dt_half: float, shots: int, seed: int | list[int],
                   measure_imag: bool = False) -> OverlapResult:
     """Shot-sampled Hadamard-test estimate of Re (or Im) of the overlap.
 
@@ -300,7 +302,9 @@ def overlap_shots(m, dt_half: float, shots: int, seed: int,
     N^2 controlled-RZZ gates, not the 6N^2 gates of the CNOT synthesis, whose
     ancilla probability is the same up to rounding) and draws the ancilla
     count from its exact marginal, which is statistically identical to
-    full-register sampling for this observable.
+    full-register sampling for this observable.  seed is anything
+    np.random.default_rng takes: an int, or a list of ints that is one
+    SeedSequence entropy pool.
     """
     if shots < 1:
         raise InvalidInputError("shots must be >= 1")
@@ -340,12 +344,14 @@ def exact_overlap_evaluator():
 
 
 def shot_overlap_evaluator(shots: int, seed: int):
-    """Shot-mode evaluator: one Re Hadamard test per term, seeded seed + index.
+    """Shot-mode evaluator: one Re Hadamard test per term.
 
-    Every overlap is real, so no term needs the Sdg (Im) circuit.
+    Every overlap is real, so no term needs the Sdg (Im) circuit.  Term index
+    draws from the stream of SeedSequence([seed, index]), so runs at
+    different seeds share no stream.
     """
 
     def evaluate(term, dt_half: float, index: int) -> float:
-        return overlap_shots(term.matrix, dt_half, shots, seed + index).real_part
+        return overlap_shots(term.matrix, dt_half, shots, [seed, index]).real_part
 
     return evaluate

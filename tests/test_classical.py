@@ -263,14 +263,6 @@ def test_dimension_caps():
         permanent_glynn_kan(np.eye(14))
 
 
-def test_gurvits_exhaustive_is_exact():
-    rng = np.random.default_rng(41)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    est = permanent_gurvits(a, samples=1, seed=0, exhaustive=True)
-    assert est.value == pytest.approx(reference_permanent(a), rel=1e-10)
-    assert est.error_bound == 0.0
-
-
 def test_gurvits_bound_and_concentration():
     rng = np.random.default_rng(43)
     a = rng.standard_normal((5, 5)) / math.sqrt(5)

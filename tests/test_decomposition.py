@@ -336,7 +336,7 @@ def test_richardson_levels_draw_fresh_shot_seeds(monkeypatch):
     est = richardson_extrapolate(a, cfg, 2, recording_evaluator)
     assert sorted(indices) == list(range(3 * len(generate_terms(a, cfg))))
     assert len(seeds) == len(indices)
-    assert len(set(seeds)) == len(seeds)
+    assert len(set(map(tuple, seeds))) == len(seeds)
     plain = run_protocol(a, cfg, shot_overlap_evaluator(64, 11))
     assert est.extra["per_level"][0] == plain.value
 
@@ -359,6 +359,54 @@ def test_samples_used_counts_shots_drawn(monkeypatch):
     drawn.clear()
     est = richardson_extrapolate(a, cfg, 2, shot_overlap_evaluator(100, 3))
     assert est.samples_used == sum(drawn) == 1500
+
+
+def test_shots_draw_one_real_hadamard_test_per_term(monkeypatch):
+    # real N = 4 without halving: no term is paired, and none needs Im
+    a = small_matrix(4, 19)
+    cfg = ProtocolConfig(dt=safe_dt(a), mode="hadamard_shots", shots_per_overlap=100,
+                         seed=3, halve_by_time_reversal=False)
+    terms = generate_terms(a, cfg)
+    drawn, imag = [], []
+    overlap_shots = simulator.overlap_shots
+
+    def recording_shots(m, dt_half, shots, seed, measure_imag=False):
+        drawn.append(shots)
+        imag.append(measure_imag)
+        return overlap_shots(m, dt_half, shots, seed, measure_imag=measure_imag)
+
+    monkeypatch.setattr(simulator, "overlap_shots", recording_shots)
+    for levels in (0, 2):
+        drawn.clear()
+        imag.clear()
+        if levels:
+            est = richardson_extrapolate(a, cfg, levels, shot_overlap_evaluator(100, 3))
+        else:
+            est = run_protocol(a, cfg, shot_overlap_evaluator(100, 3))
+        circuits = (levels + 1) * len(terms)
+        assert len(drawn) == circuits
+        assert not any(imag)
+        assert est.value.imag == 0.0
+        assert est.samples_used == 100 * circuits == sum(drawn)
+
+
+def test_adjacent_run_seeds_share_no_shot_stream(monkeypatch):
+    # with seed + index, term i + 1 at seed 5 read term i's stream at seed 6
+    a = small_matrix(3, 20)
+    cfg = ProtocolConfig(dt=safe_dt(a), mode="hadamard_shots", shots_per_overlap=16)
+    seeds = []
+    overlap_shots = simulator.overlap_shots
+
+    def recording_shots(m, dt_half, shots, seed, measure_imag=False):
+        seeds[-1].append(tuple(np.atleast_1d(seed).tolist()))
+        return overlap_shots(m, dt_half, shots, seed, measure_imag=measure_imag)
+
+    monkeypatch.setattr(simulator, "overlap_shots", recording_shots)
+    for run_seed in (5, 6):
+        seeds.append([])
+        run_protocol(a, cfg, shot_overlap_evaluator(16, run_seed))
+    assert len(seeds[0]) == len(seeds[1]) == len(generate_terms(a, cfg)) > 1
+    assert not set(seeds[0]) & set(seeds[1])
 
 
 def test_richardson_level_cap():
