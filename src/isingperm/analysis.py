@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import matrices
+from .accumulate import block_sum
 from .decomposition import convergence_dt_max, finite_difference_bound
 from .errors import DtOutOfRangeError, InvalidInputError
 from .matrices import as_matrix
@@ -197,18 +199,23 @@ def gaussian_norm_statistic(n: int, trials: int, seed: int) -> GaussianNormStats
     The predicted mean is sqrt(2/pi) n^2 (E|X| per entry).  min_k is the
     smallest integer order k with 2e sqrt(2/pi) < (n/2)^{k-1}; no finite k
     exists for n <= 2.
+
+    The draws are one consecutive stream, taken in batches of whole matrices
+    that fit matrices._BLOCK_BYTES into one reused buffer; the batch sums
+    are added by one block_sum.
     """
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     if trials < 100:
         raise InvalidInputError("trials must be >= 100")
     rng = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    while done < trials:
-        batch = min(trials - done, max(1, 4_000_000 // (n * n)))
-        draws = rng.standard_normal((batch, n, n))
-        total += float(np.abs(draws).sum())
-        done += batch
-    mean = total / trials
+    batch = min(trials, max(1, matrices._BLOCK_BYTES // (8 * n * n)))
+    buf = np.empty(batch * n * n)
+    sums = []
+    for done in range(0, trials, batch):
+        draws = rng.standard_normal(out=buf[:min(batch, trials - done) * n * n])
+        sums.append(np.abs(draws, out=draws).sum())
+    mean = block_sum(sums) / trials
     predicted = math.sqrt(2.0 / math.pi) * n * n
     lhs = 2.0 * E * math.sqrt(2.0 / math.pi)
     if n <= 2:

@@ -214,8 +214,10 @@ def permanent_gapp(b) -> PermanentEstimate:
     arr = m.real_part
     padded = n % 2 == 1
     if padded:
-        arr = np.pad(arr, ((0, 1), (0, 1)))
-        arr[n, n] = 1.0
+        square = np.zeros((n + 1, n + 1))
+        square[:n, :n] = arr
+        square[n, n] = 1.0
+        arr = square
     np2 = arr.shape[0]
     signed, total = _glynn_kan_sums(arr, unsigned=True)
     scale = math.factorial(np2) * 4**np2

@@ -14,10 +14,11 @@ evaluators therefore return the real overlap, and shot mode runs one Re
 Hadamard test per term; the Sdg (Im) circuit is kept as a checked circuit
 only.  The statevector simulator remains the Hadamard-test oracle and the
 shot-mode sampler; shot mode simulates the native circuit (one
-controlled-RZZ per matrix entry).  It applies each gate in place on reshaped
-views of the state, one length-2 axis per qubit the gate touches, so no
-per-gate index masks are built.  H and the diagonal gates need no temporary,
-so a Hadamard test peaks at about 1.0x the state (about 1 GiB at the
+controlled-RZZ per matrix entry).  It writes the uniform state of a leading
+H layer directly, then applies each gate in place on reshaped views of the
+state, one length-2 axis per qubit the gate touches, so no per-gate index
+masks are built.  H and the diagonal gates need no temporary, so a
+Hadamard test peaks at about 1.0x the state (about 1 GiB at the
 26-qubit cap); X and CNOT still copy a half or a quarter of the state.
 """
 
@@ -223,7 +224,13 @@ def _apply_gate(v: np.ndarray, g: Gate) -> None:
 def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     """Exact dense simulation from |0...0>, little-endian qubit order.
 
-    Every gate acts in place on a view of the state with one length-2 axis
+    The circuit's leading run of H gates on distinct qubits is not applied
+    gate by gate: from |0...0> it makes 2^(-k/2) on the 2^k indices whose
+    bits outside its k qubits are 0, written in one pass through a _split
+    view.  The run ends at the first other gate or at a second H on one of
+    its qubits, so a Hadamard test opens with one write instead of 2N+1 H
+    passes, and its Sdg (Im) variant's run stops at the Sdg.  Every later
+    gate acts in place on a view of the state with one length-2 axis
     per qubit it touches (see _split): H and X on the halves where its qubit
     is 0 and 1, the diagonal gates by scaling the whole (control = 1) view
     by e^(-i theta/2) and then the odd-parity target slices by e^(i theta),
@@ -236,10 +243,17 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     nq = circ.num_qubits
     if nq > _MAX_QUBITS:
         raise DimensionTooLargeError(f"statevector simulation capped at {_MAX_QUBITS} qubits")
-    state = np.zeros(1 << nq, dtype=np.complex128)
-    state[0] = 1.0
-    views: dict[tuple[int, ...], np.ndarray] = {}
+    run: list[int] = []
     for g in circ.gates:
+        if g.name != "H" or g.qubits[0] in run:
+            break
+        run.append(g.qubits[0])
+    k = len(run)
+    state = np.zeros(1 << nq, dtype=np.complex128)
+    prepared = _split(state, tuple(run))
+    prepared[(slice(None),) * k + (0,) * (prepared.ndim - k)] = math.sqrt(0.5**k)
+    views: dict[tuple[int, ...], np.ndarray] = {}
+    for g in circ.gates[k:]:
         v = views.get(g.qubits)
         if v is None:
             v = views[g.qubits] = _split(state, g.qubits)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from isingperm import (
     resource_table,
     total_error_bound,
 )
+from isingperm import matrices
 from isingperm.analysis import advantage_labels
 
 
@@ -150,3 +152,29 @@ def test_gaussian_norm_statistic():
     assert math.isinf(gaussian_norm_statistic(2, trials=100, seed=0).min_k)
     with pytest.raises(InvalidInputError):
         gaussian_norm_statistic(5, trials=10, seed=0)
+    for n in (0, -2):
+        with pytest.raises(InvalidInputError, match="n must be >= 1"):
+            gaussian_norm_statistic(n, trials=100, seed=0)
+
+
+def test_gaussian_norm_statistic_memory_bounded():
+    # the draws go through one buffer of matrices._BLOCK_BYTES (1 MiB), not
+    # one array of every draw and its abs (32 MB here); a first small call
+    # keeps numpy's one-time set-up out of the trace
+    gaussian_norm_statistic(2, trials=100, seed=0)
+    tracemalloc.start()
+    try:
+        gaussian_norm_statistic(10, trials=20000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
+def test_gaussian_norm_statistic_is_one_stream_at_any_batch(monkeypatch):
+    # batches of 1, 70 and 1310 matrices read the same consecutive draws
+    want = np.abs(np.random.default_rng(6).standard_normal(1311 * 100)).sum() / 1311
+    for budget in (800, 800 * 70, 1 << 20):
+        monkeypatch.setattr(matrices, "_BLOCK_BYTES", budget)
+        got = gaussian_norm_statistic(10, trials=1311, seed=6).mean_ising_norm
+        assert got == pytest.approx(want, rel=1e-13)

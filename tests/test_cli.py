@@ -238,6 +238,12 @@ def test_gaussian_stat_payload(capsys):
     assert payload["relative_deviation"] < 0.05
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_gaussian_stat_rejects_nonpositive_n(capsys, n):
+    assert main(["gaussian-stat", "--n", n, "--trials", "100"]) == 1
+    assert capsys.readouterr().err.startswith("error: n must be >= 1")
+
+
 def test_table_format(capsys):
     assert main(["advantage", "--n-min", "2", "--n-max", "2"]) == 0
     capsys.readouterr()

@@ -173,6 +173,67 @@ def test_controlled_gates_match_kron_oracle_in_every_orientation():
                 np.testing.assert_allclose(dense_unitary(one), kron_unitary(one), rtol=0, atol=1e-12)
 
 
+def assert_matches_kron_column(circ):
+    # simulate_statevector starts from |0...0>: the oracle's first column
+    np.testing.assert_allclose(simulate_statevector(circ), kron_unitary(circ)[:, 0],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_leading_h_run_matches_kron_oracle(num_qubits):
+    rng = np.random.default_rng(70 + num_qubits)
+    for _ in range(4):
+        # H on a random subset of qubits in random order, then random gates
+        subset = rng.permutation(num_qubits)[:rng.integers(1, num_qubits + 1)]
+        circ = QuantumCircuit(num_qubits)
+        for q in subset:
+            circ.h(int(q))
+        circ.gates += random_circuit(rng, num_qubits, 12).gates
+        assert_matches_kron_column(circ)
+    # H on every qubit, alone and followed by more gates
+    circ = QuantumCircuit(num_qubits)
+    for q in rng.permutation(num_qubits):
+        circ.h(int(q))
+    assert_matches_kron_column(circ)
+    circ.gates += random_circuit(rng, num_qubits, 12).gates
+    assert_matches_kron_column(circ)
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3, 5])
+def test_leading_h_run_ends_at_a_repeated_h_or_another_gate(num_qubits):
+    rng = np.random.default_rng(75 + num_qubits)
+    # a repeated H undoes the first: the run must stop before it
+    for _ in range(3):
+        order = [int(q) for q in rng.permutation(num_qubits)]
+        circ = QuantumCircuit(num_qubits)
+        for q in order[:2] + [order[0]] + order[2:]:
+            circ.h(q)
+        assert_matches_kron_column(circ)
+        circ.gates += random_circuit(rng, num_qubits, 8).gates
+        assert_matches_kron_column(circ)
+    # H after another gate, on the same and on other qubits
+    for first in ("x", "sdg", "rz"):
+        for _ in range(2):
+            q0 = int(rng.integers(num_qubits))
+            circ = QuantumCircuit(num_qubits)
+            getattr(circ, first)(q0, *([0.77] if first == "rz" else []))
+            for q in rng.permutation(num_qubits):
+                circ.h(int(q))
+            circ.gates += random_circuit(rng, num_qubits, 8).gates
+            assert_matches_kron_column(circ)
+
+
+@pytest.mark.parametrize("synthesize", [False, True])
+@pytest.mark.parametrize("measure_imag", [False, True])
+def test_hadamard_test_state_matches_kron_oracle(measure_imag, synthesize):
+    # the Re circuit's run is every qubit; the Im circuit's stops at its Sdg
+    rng = np.random.default_rng(78)
+    circ = build_hadamard_test(rng.standard_normal((3, 3)), 0.4,
+                               measure_imag=measure_imag, synthesize=synthesize)
+    assert circ.num_qubits == 7
+    assert_matches_kron_column(circ)
+
+
 def test_simulate_statevector_peak_memory():
     # gates act in place on views of the state: the largest temporary is
     # half the state, so the traced peak is about 1.5x its bytes plus numpy's
