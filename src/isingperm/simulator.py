@@ -226,14 +226,15 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
 
     The circuit's leading run of H gates on distinct qubits is not applied
     gate by gate: from |0...0> it makes 2^(-k/2) on the 2^k indices whose
-    bits outside its k qubits are 0, written in one pass through a _split
-    view.  The run ends at the first other gate or at a second H on one of
-    its qubits, so a Hadamard test opens with one write instead of 2N+1 H
-    passes, and its Sdg (Im) variant's run stops at the Sdg.  Every later
-    gate acts in place on a view of the state with one length-2 axis
-    per qubit it touches (see _split): H and X on the halves where its qubit
-    is 0 and 1, the diagonal gates by scaling the whole (control = 1) view
-    by e^(-i theta/2) and then the odd-parity target slices by e^(i theta),
+    bits outside its k qubits are 0, written in one pass through a view
+    with one axis per qubit.  The run ends at the first other gate or at a
+    second H on one of its qubits, so a Hadamard test opens with one write
+    instead of 2N+1 H passes, and its Sdg (Im) variant's run stops at the
+    Sdg.  Every later gate acts in place on a view of the state with one
+    length-2 axis per qubit it touches (see _split): H and X on the halves
+    where its qubit is 0 and 1, the diagonal gates by scaling the whole
+    (control = 1) view by e^(-i theta/2) and then the odd-parity target
+    slices by e^(i theta),
     CNOT by swapping the two target slices inside the control = 1 half.
     Each qubit tuple's view is built once per circuit.  H, SDG and the
     diagonal gates make no temporary, so a Hadamard test's traced peak is
@@ -250,8 +251,10 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
         run.append(g.qubits[0])
     k = len(run)
     state = np.zeros(1 << nq, dtype=np.complex128)
-    prepared = _split(state, tuple(run))
-    prepared[(slice(None),) * k + (0,) * (prepared.ndim - k)] = math.sqrt(0.5**k)
+    # one axis per qubit (axis a is qubit nq-1-a): at most 26 axes, within
+    # numpy 1.x's 32-dimension limit
+    state.reshape((2,) * nq)[tuple(slice(None) if nq - 1 - a in run else 0
+                                   for a in range(nq))] = math.sqrt(0.5**k)
     views: dict[tuple[int, ...], np.ndarray] = {}
     for g in circ.gates[k:]:
         v = views.get(g.qubits)

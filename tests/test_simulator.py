@@ -234,6 +234,25 @@ def test_hadamard_test_state_matches_kron_oracle(measure_imag, synthesize):
     assert_matches_kron_column(circ)
 
 
+def test_leading_h_run_on_every_qubit_of_a_wide_register():
+    # a run of k H gates must not need a view with more axes than numpy 1.x
+    # allows (32): 20 qubits in random order give the constant 2^(-10)
+    circ = QuantumCircuit(20)
+    for q in np.random.default_rng(76).permutation(20):
+        circ.h(int(q))
+    state = simulate_statevector(circ)
+    assert np.all(state == 2.0**-10)
+
+
+def test_real_hadamard_test_at_n8_matches_overlap_exact():
+    # the Re circuit's run covers all 17 qubits
+    m = np.random.default_rng(77).standard_normal((8, 8)) * 0.1
+    circ = build_hadamard_test(m, 0.3, synthesize=False)
+    assert circ.num_qubits == 17
+    p0 = ancilla_probability_zero(circ, ancilla=16)
+    assert 2.0 * p0 - 1.0 == pytest.approx(overlap_exact(m, 0.3).real_part, abs=1e-12)
+
+
 def test_simulate_statevector_peak_memory():
     # gates act in place on views of the state: the largest temporary is
     # half the state, so the traced peak is about 1.5x its bytes plus numpy's
