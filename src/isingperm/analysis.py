@@ -44,33 +44,33 @@ def _log_pow(base: float, exponent: float) -> float:
     return math.exp(exponent * math.log(base))
 
 
-def total_error_bound(a, dt: float, eps_ht: float, eps_fd: float = 1.0) -> ErrorBudget:
+def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
     """Exact and simplified total additive-error bounds for one run.
 
-    Real input: total <= (eps_HT (2/dt)^N + eps_FD (N dt^2/24) ||H||^{N+2}) / N!
+    Real input: total <= (eps_HT (2/dt)^N + (N dt^2/24) ||H||^{N+2}) / N!
     and the reduced form eps_R (2e/(N dt))^N with
-    eps_R = (eps_HT + eps_FD N/6) / sqrt(2 pi N); complex input uses d = 4
-    and eps_C = (eps_HT + 4 eps_FD N/3) / sqrt(2 pi N).
+    eps_R = (eps_HT + N/6) / sqrt(2 pi N); complex input uses d = 4
+    and eps_C = (eps_HT + 4N/3) / sqrt(2 pi N).
     """
     m = as_matrix(a)
     n = m.n
-    if eps_ht < 0.0 or eps_fd < 0.0:
-        raise InvalidInputError("error factors must be nonnegative")
+    if eps_ht < 0.0:
+        raise InvalidInputError("eps_ht must be nonnegative")
     limit = convergence_dt_max(m)
     if dt <= 0.0 or dt > limit * (1.0 + 1e-12):
         raise DtOutOfRangeError(f"dt = {dt:g} outside (0, {limit:g}]")
     d = 2.0 if m.is_real else 4.0
 
     ht = eps_ht * math.exp(n * math.log(d / dt) - math.lgamma(n + 1))
-    fd = finite_difference_bound(m, dt, eps_fd)
+    fd = finite_difference_bound(m, dt)
     if m.is_real:
-        eps_red = (eps_ht + eps_fd * n / 6.0) / math.sqrt(2.0 * math.pi * n)
+        eps_red = (eps_ht + n / 6.0) / math.sqrt(2.0 * math.pi * n)
     else:
-        eps_red = (eps_ht + 4.0 * eps_fd * n / 3.0) / math.sqrt(2.0 * math.pi * n)
+        eps_red = (eps_ht + 4.0 * n / 3.0) / math.sqrt(2.0 * math.pi * n)
     simplified = eps_red * _log_pow(d * E / (n * dt), n)
     gurvits = eps_red * _log_pow(m.norms.two_norm, n)
     label, details = advantage_classify(m)
-    details.update({"dt": dt, "eps_ht": eps_ht, "eps_fd": eps_fd, "d": d})
+    details.update({"dt": dt, "eps_ht": eps_ht, "d": d})
     return ErrorBudget(fd_bound=fd, ht_bound=ht, total_bound=ht + fd,
                        simplified_bound=simplified, eps_reduced=eps_red,
                        gurvits_bound=gurvits, case_label=label, details=details)

@@ -35,7 +35,6 @@ from .classical import (
 from .decomposition import (
     ProtocolConfig,
     glynn_kan_operator_expectation,
-    richardson_extrapolate,
     run_protocol,
     select_dt,
 )
@@ -125,7 +124,10 @@ def _cmd_compute(args) -> int:
 def _cmd_quantum(args) -> int:
     matrix = load_matrix(args.input)
     selection = select_dt(matrix)
-    dt = selection.chosen if args.dt == "auto" else float(args.dt)
+    try:
+        dt = selection.chosen if args.dt == "auto" else float(args.dt)
+    except ValueError:
+        raise InvalidInputError(f'--dt must be a number or "auto", got {args.dt!r}') from None
     cfg = ProtocolConfig(
         dt=dt,
         mode="hadamard_shots" if args.mode == "shots" else "exact_overlap",
@@ -141,13 +143,10 @@ def _cmd_quantum(args) -> int:
     else:
         evaluator = exact_overlap_evaluator()
         eps_ht = 0.0
-    if args.richardson > 0:
-        est = richardson_extrapolate(matrix, cfg, args.richardson, evaluator)
-    else:
-        est = run_protocol(matrix, cfg, evaluator)
+    est = run_protocol(matrix, cfg, evaluator)
     try:
         # at the finest step the run used, where estimate.error_bound is taken
-        budget = total_error_bound(matrix, dt / 2**args.richardson, eps_ht=eps_ht, eps_fd=1.0)
+        budget = total_error_bound(matrix, dt / 2**cfg.richardson_levels, eps_ht=eps_ht)
         budget_payload = {
             "fd_bound": budget.fd_bound,
             "ht_bound": budget.ht_bound,
@@ -175,11 +174,7 @@ def _cmd_quantum(args) -> int:
             if key in est.extra:
                 payload[key] = [[complex(v).real, complex(v).imag] for v in est.extra[key]]
     _emit(payload, args.format)
-    _write_manifest(args, outputs=[], config={
-        "dt": dt, "mode": cfg.mode, "shots_per_overlap": cfg.shots_per_overlap,
-        "richardson_levels": cfg.richardson_levels, "seed": cfg.seed,
-        "halve_by_time_reversal": cfg.halve_by_time_reversal,
-    })
+    _write_manifest(args, outputs=[], config=asdict(cfg))
     return _EXIT_OK
 
 

@@ -2,8 +2,9 @@
 
 Turns a permanent into a weighted sum of propagator overlaps: generates the
 shifted matrices and combination weights for real and complex inputs,
-selects the time step, halves the term list by time-reversal pairing,
-recombines evaluated overlaps, and Richardson-extrapolates in dt^2.
+selects the time step, halves the term list by time-reversal pairing, and
+runs the protocol: evaluates and recombines the overlaps at each
+Richardson level and extrapolates in dt^2.
 """
 
 from __future__ import annotations
@@ -52,14 +53,15 @@ class ProtocolConfig:
     allow_dt_override: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidInputError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:  # also rejects nan
+            raise InvalidInputError(f"dt must be positive and finite, got {self.dt!r}")
         if self.mode not in ("exact_overlap", "hadamard_shots"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.shots_per_overlap < 1:
             raise InvalidInputError("shots_per_overlap must be >= 1")
-        if self.richardson_levels < 0:
-            raise InvalidInputError("richardson_levels must be >= 0")
+        if not 0 <= self.richardson_levels <= _RICHARDSON_MAX_LEVELS:
+            raise InvalidInputError(
+                f"richardson_levels must be in 0..{_RICHARDSON_MAX_LEVELS}")
 
 
 def convergence_dt_max(a) -> float:
@@ -94,8 +96,6 @@ class DtSelection:
     exp_window: DtWindow       # exponentially-small-total-error window
     gurvits_window: DtWindow   # window where the quantum bound beats Gurvits'
     chosen: float
-    d: float
-    ising_norm: float
 
 
 def _window(lower: float, upper: float) -> DtWindow:
@@ -122,17 +122,16 @@ def select_dt(a) -> DtSelection:
     """
     m = as_matrix(a)
     n = m.n
-    norms = m.norms
+    two_norm = m.norms.two_norm
     d = 2.0 if m.is_real else 4.0
-    upper = d / norms.ising_norm if norms.ising_norm > 0.0 else math.inf
+    upper = convergence_dt_max(m)
     exp_win = _window(d * E / n, upper)
-    gur_lower = d * E / (n * norms.two_norm) if norms.two_norm > 0.0 else math.inf
+    gur_lower = d * E / (n * two_norm) if two_norm > 0.0 else math.inf
     gur_win = _window(gur_lower, upper)
     chosen = exp_win.chosen if not exp_win.empty else upper
     if math.isinf(chosen):  # zero matrix: any dt converges
         chosen = 1.0
-    return DtSelection(exp_window=exp_win, gurvits_window=gur_win,
-                       chosen=chosen, d=d, ising_norm=norms.ising_norm)
+    return DtSelection(exp_window=exp_win, gurvits_window=gur_win, chosen=chosen)
 
 
 # --- term generation ----------------------------------------------------------
@@ -200,10 +199,10 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
 # --- error remainder of the finite difference ---------------------------------
 
 
-def finite_difference_bound(a, dt: float, eps_fd: float = 1.0) -> float:
+def finite_difference_bound(a, dt: float) -> float:
     """Analytic bound on the finite-difference remainder of the protocol.
 
-    Real: eps_fd (N dt^2 / 24) ||H(B)||^{N+2} / N!.  Complex: the same with
+    Real: (N dt^2 / 24) ||H(B)||^{N+2} / N!.  Complex: the same with
     ||H(A)||^{N-1} (||H(B)||^3 + ||H(C)||^3).  Evaluated in log space.
     """
     m = as_matrix(a)
@@ -214,7 +213,7 @@ def finite_difference_bound(a, dt: float, eps_fd: float = 1.0) -> float:
             return 0.0
         log_bound = ((n + 2) * math.log(h) + math.log(n * dt**2 / 24.0)
                      - math.lgamma(n + 1))
-        return eps_fd * math.exp(log_bound)
+        return math.exp(log_bound)
     ha = m.norms.ising_norm
     hb = float(np.abs(m.real_part).sum())
     hc = float(np.abs(m.imag_part).sum())
@@ -222,19 +221,17 @@ def finite_difference_bound(a, dt: float, eps_fd: float = 1.0) -> float:
         return 0.0
     log_bound = ((n - 1) * math.log(ha) + math.log(hb**3 + hc**3)
                  + math.log(n * dt**2 / 24.0) - math.lgamma(n + 1))
-    return eps_fd * math.exp(log_bound)
+    return math.exp(log_bound)
 
 
 # --- recombination and extrapolation ------------------------------------------
 
 
-def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEstimate:
+def recombine(terms, overlaps) -> float:
     """Weighted, correctly rounded sum of the real overlap values.
 
     Every term contributes weight * Re(overlap): each overlap is real (see
-    simulator.overlap_exact), so an imaginary part could only be noise.  When
-    the source matrix is supplied the analytic finite-difference bound is
-    attached as error_bound.
+    simulator.overlap_exact), so an imaginary part could only be noise.
     """
     terms = list(terms)
     overlaps = list(overlaps)
@@ -242,59 +239,39 @@ def recombine(terms, overlaps, cfg: ProtocolConfig, matrix=None) -> PermanentEst
         raise InvalidInputError(
             f"{len(overlaps)} overlaps supplied for {len(terms)} terms"
         )
-    value = block_sum([t.weight * complex(o).real for t, o in zip(terms, overlaps)])
-    bound = finite_difference_bound(matrix, cfg.dt) if matrix is not None else None
-    return PermanentEstimate(value=complex(value), method="quantum_protocol",
-                             error_bound=bound, wall_terms=len(terms),
-                             extra={"dt": cfg.dt})
+    return block_sum([t.weight * complex(o).real for t, o in zip(terms, overlaps)])
 
 
 def run_protocol(a, cfg: ProtocolConfig, evaluator) -> PermanentEstimate:
-    """Generate terms, evaluate every overlap, and recombine.
+    """Per(A) by the overlap protocol, Richardson-extrapolated over cfg's levels.
 
-    evaluator(term, dt_half, index) -> real overlap value; indices are
-    assigned in term order so per-term seeds stay reproducible.  In shots
-    mode samples_used counts one circuit's shots per term.
+    Level i = 0 .. cfg.richardson_levels generates the terms at dt / 2^i,
+    evaluates each with evaluator(term, dt_half, index) and recombines them.
+    Indices number the terms on across the levels, so an evaluator that
+    seeds by index (shot_overlap_evaluator) draws fresh shots at every level.
+    The remainder has only even powers of dt, so the tableau entry
+    T[i][m] = (4^m T[i][m-1] - T[i-1][m-1]) / (4^m - 1) eliminates the
+    leading 2m-th order error.
+
+    error_bound is the finite-difference bound at the finest step, and in
+    shots mode samples_used counts one circuit's shots per term.  extra
+    holds dt and the overlaps for a single level, and otherwise the
+    per-level estimates, the last-column residuals (a non-dt^2 signal stays
+    visible in them), base_dt and levels.
     """
     m = as_matrix(a)
-    terms = generate_terms(m, cfg)
-    overlaps = [evaluator(t, cfg.dt / 2.0, i) for i, t in enumerate(terms)]
-    est = recombine(terms, overlaps, cfg, matrix=m)
-    if cfg.mode == "hadamard_shots":
-        est.samples_used = cfg.shots_per_overlap * len(terms)
-    est.extra["overlaps"] = overlaps
-    return est
-
-
-def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
-                           evaluator) -> PermanentEstimate:
-    """Richardson tableau in dt^2 over step sizes dt, dt/2, ..., dt/2^levels.
-
-    The finite-difference remainder contains only even powers of dt, so the
-    tableau entry T[i][m] = (4^m T[i][m-1] - T[i-1][m-1]) / (4^m - 1)
-    eliminates the leading 2m-th order error.  Per-level estimates and the
-    last-column residuals are reported so a non-dt^2 signal stays visible.
-
-    Each level numbers its terms on from the last index the earlier levels
-    used, so an evaluator that seeds by index (shot_overlap_evaluator) draws
-    fresh shots at every level, and level 0 numbers its terms exactly as
-    run_protocol does.  samples_used is the sum over the levels.
-    """
-    if levels < 0 or levels > _RICHARDSON_MAX_LEVELS:
-        raise InvalidInputError(f"richardson levels must be in 0..{_RICHARDSON_MAX_LEVELS}")
-    m = as_matrix(a)
+    levels = cfg.richardson_levels
     per_level = []
     wall_terms = 0
-    samples = 0
     for i in range(levels + 1):
-        cfg_i = replace(base_cfg, dt=base_cfg.dt / 2**i, richardson_levels=0)
-        est = run_protocol(m, cfg_i, lambda term, dt_half, index, first=wall_terms:
-                           evaluator(term, dt_half, first + index))
-        per_level.append(est.value)
-        wall_terms += est.wall_terms
-        samples += est.samples_used or 0
+        cfg_i = replace(cfg, dt=cfg.dt / 2**i)
+        terms = generate_terms(m, cfg_i)
+        overlaps = [evaluator(t, cfg_i.dt / 2.0, wall_terms + k)
+                    for k, t in enumerate(terms)]
+        per_level.append(complex(recombine(terms, overlaps)))
+        wall_terms += len(terms)
 
-    tableau = [list(per_level)]
+    tableau = [per_level]
     for col in range(1, levels + 1):
         factor = 4.0**col
         prev = tableau[-1]
@@ -302,16 +279,25 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
             (factor * prev[i] - prev[i - 1]) / (factor - 1.0)
             for i in range(1, len(prev))
         ])
-    value = tableau[-1][-1]
-    residuals = [abs(tableau[c][-1] - tableau[c - 1][-1]) for c in range(1, levels + 1)]
-    bound = finite_difference_bound(m, base_cfg.dt / 2**levels)
+    if levels:
+        residuals = [abs(tableau[c][-1] - tableau[c - 1][-1]) for c in range(1, levels + 1)]
+        extra = {"per_level": per_level, "residuals": residuals,
+                 "base_dt": cfg.dt, "levels": levels}
+    else:
+        extra = {"dt": cfg.dt, "overlaps": overlaps}
     return PermanentEstimate(
-        value=complex(value), method="quantum_protocol", error_bound=bound,
-        samples_used=samples if base_cfg.mode == "hadamard_shots" else None,
-        wall_terms=wall_terms,
-        extra={"per_level": per_level, "residuals": residuals,
-               "base_dt": base_cfg.dt, "levels": levels},
+        value=tableau[-1][-1], method="quantum_protocol",
+        error_bound=finite_difference_bound(m, cfg.dt / 2**levels),
+        samples_used=(cfg.shots_per_overlap * wall_terms
+                      if cfg.mode == "hadamard_shots" else None),
+        wall_terms=wall_terms, extra=extra,
     )
+
+
+def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
+                           evaluator) -> PermanentEstimate:
+    """run_protocol with base_cfg's richardson_levels set to levels."""
+    return run_protocol(a, replace(base_cfg, richardson_levels=levels), evaluator)
 
 
 # --- direct operator expectation ----------------------------------------------

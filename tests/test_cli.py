@@ -1,10 +1,11 @@
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from isingperm import load_matrix, matrix_to_json, save_matrix
+from isingperm import ProtocolConfig, load_matrix, matrix_to_json, save_matrix
 from isingperm.cli import main
 
 
@@ -173,6 +174,18 @@ def test_exit_code_bad_dt(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["--dt", "nan"], ["--dt", "inf", "--force"],
+                                   ["--dt", "abc"], ["--richardson", "5"]])
+def test_quantum_rejects_bad_config(tmp_path, capsys, extra):
+    # a bad --dt or level count is an input error: exit 1, one error line
+    path = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2]))
+    assert main(["quantum", "--input", path] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "matrix entries" not in captured.err
+
+
 def test_resources_csv_and_json(capsys):
     assert main(["resources", "--n", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -228,7 +241,15 @@ def test_manifest_written(tmp_path, capsys):
     assert data["argv"] == ["quantum", "--input", path, "--dt", "0.4",
                             "--manifest", str(manifest)]
     assert data["config"]["dt"] == 0.4
+    assert data["config"]["allow_dt_override"] is False
     assert data["versions"].startswith("isingperm ")
+    # a forced run records that dt was forced, with every config field
+    assert main(["quantum", "--input", path, "--dt", "10.0", "--force",
+                 "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    config = json.loads(manifest.read_text())["config"]
+    assert set(config) == {f.name for f in fields(ProtocolConfig)}
+    assert config["dt"] == 10.0 and config["allow_dt_override"] is True
 
 
 def test_gaussian_stat_payload(capsys):

@@ -116,6 +116,11 @@ def test_config_validation():
         ProtocolConfig(dt=0.1, mode="nope")
     with pytest.raises(InvalidInputError):
         ProtocolConfig(dt=0.1, richardson_levels=-1)
+    with pytest.raises(InvalidInputError):
+        ProtocolConfig(dt=0.1, richardson_levels=5)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            ProtocolConfig(dt=dt)
 
 
 # --- term generation --------------------------------------------------------
@@ -219,7 +224,7 @@ def test_recombine_length_mismatch():
     cfg = ProtocolConfig(dt=safe_dt(a))
     terms = generate_terms(a, cfg)
     with pytest.raises(InvalidInputError):
-        recombine(terms, [0.0] * (len(terms) + 1), cfg)
+        recombine(terms, [0.0] * (len(terms) + 1))
 
 
 def test_fd_bound_quadratic_in_dt():
@@ -294,6 +299,36 @@ def test_richardson_level_zero_equals_plain():
     plain = run_protocol(a, cfg, exact_overlap_evaluator())
     rich = richardson_extrapolate(a, cfg, 0, exact_overlap_evaluator())
     assert rich.value == pytest.approx(plain.value, abs=1e-15)
+
+
+@pytest.mark.parametrize("shots", [False, True])
+@pytest.mark.parametrize("levels", [0, 1, 2])
+def test_run_protocol_runs_configured_levels(levels, shots):
+    # richardson_extrapolate is run_protocol with richardson_levels set
+    a = small_matrix(3, 17, complex_=shots)
+    mode = "hadamard_shots" if shots else "exact_overlap"
+    base = ProtocolConfig(dt=safe_dt(a), mode=mode, shots_per_overlap=64, seed=4)
+
+    def evaluator():
+        return shot_overlap_evaluator(64, 4) if shots else exact_overlap_evaluator()
+
+    cfg = ProtocolConfig(dt=base.dt, mode=mode, shots_per_overlap=64, seed=4,
+                         richardson_levels=levels)
+    est = run_protocol(a, cfg, evaluator())
+    rich = richardson_extrapolate(a, base, levels, evaluator())
+    assert est.value.real.hex() == rich.value.real.hex()
+    assert est.value.imag.hex() == rich.value.imag.hex()
+    assert (est.error_bound, est.samples_used, est.wall_terms) == (
+        rich.error_bound, rich.samples_used, rich.wall_terms)
+    assert est.extra.keys() == rich.extra.keys()
+    assert est.error_bound == finite_difference_bound(a, base.dt / 2**levels)
+    assert est.wall_terms == (levels + 1) * len(generate_terms(a, base))
+    if levels:
+        assert est.extra["per_level"] == rich.extra["per_level"]
+        assert est.extra["levels"] == levels and est.extra["base_dt"] == base.dt
+    else:
+        assert est.extra["overlaps"] == rich.extra["overlaps"]
+        assert est.extra["dt"] == base.dt
 
 
 def test_richardson_improves_error():
