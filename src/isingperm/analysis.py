@@ -9,7 +9,8 @@ import numpy as np
 
 from . import matrices
 from .accumulate import block_sum
-from .decomposition import convergence_dt_max, finite_difference_bound
+from .decomposition import (_LOG_FLOAT_MAX, convergence_dt_max, finite_difference_bound,
+                            log_weight_scale)
 from .errors import DtOutOfRangeError, InvalidInputError
 from .matrices import as_matrix
 
@@ -37,11 +38,16 @@ class ErrorBudget:
     details: dict = field(default_factory=dict)
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf where the result is too large for a float."""
+    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
+
+
 def _log_pow(base: float, exponent: float) -> float:
     """base ** exponent via logs; 0 for base 0."""
     if base == 0.0:
         return 0.0
-    return math.exp(exponent * math.log(base))
+    return _exp(exponent * math.log(base))
 
 
 def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
@@ -50,7 +56,9 @@ def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
     Real input: total <= (eps_HT (2/dt)^N + (N dt^2/24) ||H||^{N+2}) / N!
     and the reduced form eps_R (2e/(N dt))^N with
     eps_R = (eps_HT + N/6) / sqrt(2 pi N); complex input uses d = 4
-    and eps_C = (eps_HT + 4N/3) / sqrt(2 pi N).
+    and eps_C = (eps_HT + 4N/3) / sqrt(2 pi N).  A dt so small that the
+    1/(N! dt^N) weight is too large for a float raises DtOutOfRangeError,
+    as in generate_terms; a bound that overflows short of that reads inf.
     """
     m = as_matrix(a)
     n = m.n
@@ -60,8 +68,9 @@ def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
     if dt <= 0.0 or dt > limit * (1.0 + 1e-12):
         raise DtOutOfRangeError(f"dt = {dt:g} outside (0, {limit:g}]")
     d = 2.0 if m.is_real else 4.0
+    log_weight_scale(n, dt)  # raises where the protocol's weights overflow
 
-    ht = eps_ht * math.exp(n * math.log(d / dt) - math.lgamma(n + 1))
+    ht = eps_ht * _exp(n * math.log(d / dt) - math.lgamma(n + 1)) if eps_ht else 0.0
     fd = finite_difference_bound(m, dt)
     if m.is_real:
         eps_red = (eps_ht + n / 6.0) / math.sqrt(2.0 * math.pi * n)

@@ -9,7 +9,9 @@ Richardson level and extrapolates in dt^2.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from .matrices import SquareMatrix, as_matrix, sign_matrix
 
 _OPERATOR_MAX_N = 7
 _RICHARDSON_MAX_LEVELS = 4
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 E = math.e
 
 
@@ -137,6 +140,22 @@ def select_dt(a) -> DtSelection:
 # --- term generation ----------------------------------------------------------
 
 
+def _weights_overflow(dt: float) -> DtOutOfRangeError:
+    return DtOutOfRangeError(f"dt = {dt:g} is too small: the 1/(N! dt^N) weights overflow a float")
+
+
+def log_weight_scale(n: int, dt: float) -> float:
+    """log of 1/(N! dt^N), the scale of every protocol weight.
+
+    Raises DtOutOfRangeError when that weight is too large for a float,
+    which only a tiny dt does.
+    """
+    log_scale = -math.lgamma(n + 1) - n * math.log(dt)
+    if log_scale > _LOG_FLOAT_MAX:
+        raise _weights_overflow(dt)
+    return log_scale
+
+
 def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
@@ -159,14 +178,15 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     whose overlaps vanish identically, are dropped.
 
     Weights are assembled in log-magnitude + phase form so the 1/(N! dt^N)
-    prefactor never overflows on its own.
+    prefactor never overflows on its own; a dt so small that a weight is
+    too large for a float raises DtOutOfRangeError.
     """
     m = as_matrix(a)
     check_convergence(m, cfg)
     n = m.n
     dt = cfg.dt
     shift = math.pi / dt
-    log_pref = -math.lgamma(n + 1) - n * math.log(dt)
+    log_pref = log_weight_scale(n, dt)
     sign_n = -1.0 if n % 2 else 1.0
     b = m.real_part
     c = m.imag_part
@@ -181,12 +201,15 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
                         continue  # shifted matrix is exactly (pi/dt) I; overlap 0
                     if (j, k) > partner:
                         continue
-                mag = math.exp(_log_comb(n, l) + _log_comb(n - l, j)
-                               + _log_comb(l, k) + log_pref)
+                log_mag = (_log_comb(n, l) + _log_comb(n - l, j)
+                           + _log_comb(l, k) + log_pref)
+                mag = math.exp(log_mag) if log_mag <= _LOG_FLOAT_MAX else math.inf
                 phase = (1j**l) * (-1.0 if (j + k) % 2 else 1.0) * sign_n
                 weight = phase * mag
                 if halved:
                     weight *= 2.0
+                if not cmath.isfinite(weight):
+                    raise _weights_overflow(dt)
                 terms.append(OverlapTerm(
                     matrix=_shifted(float(n - l - 2 * j), float(l - 2 * k), b, c, shift),
                     weight=weight,
@@ -203,7 +226,8 @@ def finite_difference_bound(a, dt: float) -> float:
     """Analytic bound on the finite-difference remainder of the protocol.
 
     Real: (N dt^2 / 24) ||H(B)||^{N+2} / N!.  Complex: the same with
-    ||H(A)||^{N-1} (||H(B)||^3 + ||H(C)||^3).  Evaluated in log space.
+    ||H(A)||^{N-1} (||H(B)||^3 + ||H(C)||^3).  Evaluated in log space, with
+    dt^2 as 2 log dt, so that a tiny dt gives a tiny bound, not log(0).
     """
     m = as_matrix(a)
     n = m.n
@@ -211,7 +235,7 @@ def finite_difference_bound(a, dt: float) -> float:
         h = m.norms.ising_norm
         if h == 0.0:
             return 0.0
-        log_bound = ((n + 2) * math.log(h) + math.log(n * dt**2 / 24.0)
+        log_bound = ((n + 2) * math.log(h) + math.log(n / 24.0) + 2.0 * math.log(dt)
                      - math.lgamma(n + 1))
         return math.exp(log_bound)
     ha = m.norms.ising_norm
@@ -220,7 +244,7 @@ def finite_difference_bound(a, dt: float) -> float:
     if ha == 0.0:
         return 0.0
     log_bound = ((n - 1) * math.log(ha) + math.log(hb**3 + hc**3)
-                 + math.log(n * dt**2 / 24.0) - math.lgamma(n + 1))
+                 + math.log(n / 24.0) + 2.0 * math.log(dt) - math.lgamma(n + 1))
     return math.exp(log_bound)
 
 

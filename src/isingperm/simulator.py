@@ -17,14 +17,18 @@ shot-mode sampler; shot mode simulates the native circuit (one
 controlled-RZZ per matrix entry).  It writes the uniform state of a leading
 H layer directly, then applies each gate in place on reshaped views of the
 state, one length-2 axis per qubit the gate touches, so no per-gate index
-masks are built.  H and the diagonal gates need no temporary, so a
-Hadamard test peaks at about 1.0x the state (about 1 GiB at the
-26-qubit cap); X and CNOT still copy a half or a quarter of the state.
+masks are built.  A phase gate scales only its odd-parity amplitudes, a
+quarter of the state for a controlled-RZZ, and its common phase waits as
+an angle on its control qubit until a gate mixes that qubit's halves.  H
+and the diagonal gates need no temporary, so a Hadamard test peaks at
+about 1.0x the state (about 1 GiB at the 26-qubit cap); X and CNOT still
+copy a half or a quarter of the state.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,8 +153,8 @@ def build_hadamard_test(m, dt_half: float, measure_imag: bool = False,
             if abs(theta) < _THETA_ELISION:
                 continue
             t1, t2 = q, n + p
-            if not synthesize:
-                circ.crzz(anc, t1, t2, theta)
+            if not synthesize:  # distinct, in-range qubits by construction
+                circ.gates.append(Gate("CRZZ", (anc, t1, t2), float(theta)))
                 continue
             circ.cnot(t1, t2)
             circ.rz(t2, theta / 2.0)
@@ -165,6 +169,20 @@ def build_hadamard_test(m, dt_half: float, measure_imag: bool = False,
 # --- dense statevector simulation -------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _split_layout(num_qubits: int, qubits: tuple[int, ...]):
+    """Reshape shape and axis order of _split for one register width."""
+    order = sorted(qubits, reverse=True)
+    shape, top = [], num_qubits
+    for q in order:
+        shape += [1 << (top - q - 1), 2]
+        top = q
+    shape.append(1 << top)
+    lead = [2 * order.index(q) + 1 for q in qubits]
+    rest = [ax for ax in range(len(shape)) if ax not in lead]
+    return tuple(shape), tuple(lead + rest)
+
+
 def _split(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """View of the state with one leading length-2 axis per listed qubit.
 
@@ -173,25 +191,22 @@ def _split(state: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     qubits[1] is 0; the trailing axes run over the other qubits.  In-place
     arithmetic on the view writes through to the state.
     """
-    order = sorted(qubits, reverse=True)
-    shape, top = [], state.size.bit_length() - 1
-    for q in order:
-        shape += [1 << (top - q - 1), 2]
-        top = q
-    shape.append(1 << top)
-    lead = [2 * order.index(q) + 1 for q in qubits]
-    rest = [ax for ax in range(len(shape)) if ax not in lead]
-    return state.reshape(shape).transpose(lead + rest)
+    shape, axes = _split_layout(state.size.bit_length() - 1, qubits)
+    return state.reshape(shape).transpose(axes)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _ODD_BITS = {1: [(1,)], 2: [(0, 1), (1, 0)]}
 
 
-def _apply_gate(v: np.ndarray, g: Gate) -> None:
-    """Apply one gate in place to v = _split(state, g.qubits).
+def _apply_gate(v: np.ndarray, g: Gate) -> float:
+    """Apply one gate in place to v = _split(state, g.qubits), up to a phase.
 
-    Only X and CNOT make a temporary (their swap copy), freed on return.
+    RZ, RZZ, CRZ and CRZZ scale only the slices where the targets' Z parity
+    is odd, by e^(i theta), and return the angle -theta/2 of the phase they
+    leave out: e^(-i theta/2) on the whole (control = 1) view.  Every other
+    gate returns 0.0.  Only X and CNOT make a temporary (their swap copy),
+    freed on return.
     """
     controlled = g.name in ("CNOT", "CRZ", "CRZZ")
     if controlled:
@@ -211,14 +226,13 @@ def _apply_gate(v: np.ndarray, g: Gate) -> None:
     elif g.name == "SDG":
         v[1] *= -1j
     elif g.name in ("RZ", "RZZ", "CRZ", "CRZZ"):
-        # e^(-i theta/2) everywhere, then e^(i theta) more where the targets'
-        # Z parity is odd: one pass over the whole view, then the odd slices
-        v *= cmath.exp(-0.5j * g.theta)
         turn = cmath.exp(1j * g.theta)
         for bits in _ODD_BITS[len(g.qubits) - controlled]:
             v[bits] *= turn
+        return -0.5 * g.theta
     else:  # pragma: no cover - gate set is closed
         raise InvalidInputError(f"unsupported gate {g.name!r}")
+    return 0.0
 
 
 def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
@@ -232,14 +246,21 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     instead of 2N+1 H passes, and its Sdg (Im) variant's run stops at the
     Sdg.  Every later gate acts in place on a view of the state with one
     length-2 axis per qubit it touches (see _split): H and X on the halves
-    where its qubit is 0 and 1, the diagonal gates by scaling the whole
-    (control = 1) view by e^(-i theta/2) and then the odd-parity target
-    slices by e^(i theta),
-    CNOT by swapping the two target slices inside the control = 1 half.
-    Each qubit tuple's view is built once per circuit.  H, SDG and the
-    diagonal gates make no temporary, so a Hadamard test's traced peak is
-    about 1.0x the state's bytes plus numpy's fixed iteration buffers (under
-    0.5 MiB); X copies half the state and CNOT a quarter.
+    where its qubit is 0 and 1, CNOT by swapping the two target slices
+    inside the control = 1 half, and RZ, RZZ, CRZ and CRZZ by scaling only
+    the (control = 1) slices where the targets' Z parity is odd by
+    e^(i theta).  Their common factor e^(-i theta/2) is deferred: the angles
+    are collected per control qubit, and the control = 1 half is scaled
+    once by e^(i fsum(angles)) just before the next H or X on that qubit or
+    CNOT onto it, or at the end.  It commutes with every gate in between,
+    which is diagonal or block diagonal in that qubit, and one correctly
+    rounded angle keeps the rounding below that of a running product of
+    phases.  The uncontrolled gates' angles scale the whole state once at
+    the end.  Each qubit tuple's view is built once per circuit.  H, SDG,
+    the diagonal gates and the deferred phases make no temporary, so a
+    Hadamard test's traced peak is about 1.0x the state's bytes plus numpy's
+    fixed iteration buffers (under 0.5 MiB); X copies half the state and
+    CNOT a quarter.
     """
     nq = circ.num_qubits
     if nq > _MAX_QUBITS:
@@ -256,11 +277,29 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     state.reshape((2,) * nq)[tuple(slice(None) if nq - 1 - a in run else 0
                                    for a in range(nq))] = math.sqrt(0.5**k)
     views: dict[tuple[int, ...], np.ndarray] = {}
-    for g in circ.gates[k:]:
-        v = views.get(g.qubits)
+
+    def view(qubits):
+        v = views.get(qubits)
         if v is None:
-            v = views[g.qubits] = _split(state, g.qubits)
-        _apply_gate(v, g)
+            v = views[qubits] = _split(state, qubits)
+        return v
+
+    # the phase gates' left-out angles, per control qubit (None: uncontrolled)
+    deferred: dict[int | None, list[float]] = {}
+
+    def flush(q):
+        part = state if q is None else view((q,))[1]
+        part *= cmath.exp(1j * math.fsum(deferred.pop(q)))
+
+    for g in circ.gates[k:]:
+        if g.name in ("H", "X", "CNOT") and g.qubits[-1] in deferred:
+            flush(g.qubits[-1])  # the gate mixes that qubit's halves
+        angle = _apply_gate(view(g.qubits), g)
+        if angle:
+            control = g.qubits[0] if g.name in ("CRZ", "CRZZ") else None
+            deferred.setdefault(control, []).append(angle)
+    for q in list(deferred):
+        flush(q)
     return state
 
 

@@ -65,6 +65,25 @@ def test_total_bound_rejects_bad_dt():
         total_error_bound(a, -1.0, eps_ht=0.1)
 
 
+@pytest.mark.parametrize("dt", [1e-160, 1e-300])
+def test_total_bound_rejects_tiny_dt(dt):
+    # the 1/(N! dt^N) weight is beyond float range, as in generate_terms
+    with pytest.raises(DtOutOfRangeError, match="too small"):
+        total_error_bound(np.diag([0.3, 0.2, 0.25]), dt, eps_ht=0.1)
+
+
+def test_total_bound_overflows_to_inf_inside_weight_range():
+    # at dt^3 = 2 / (3 max) the scale 1/(3! dt^3) is max/4, but the
+    # Hadamard-test term eps (2/dt)^3 / 3! = 2 eps max is not a float
+    a = np.diag([0.3, 0.2, 0.25])
+    dt = math.exp((math.log(2.0 / 3.0) - math.log(np.finfo(float).max)) / 3.0)
+    budget = total_error_bound(a, dt, eps_ht=1.0)
+    assert budget.ht_bound == math.inf
+    assert budget.simplified_bound == math.inf
+    assert 0.0 <= budget.fd_bound < 1e-200
+    assert total_error_bound(a, dt, eps_ht=0.0).ht_bound == 0.0
+
+
 def test_advantage_cases():
     # identity: ||H|| = N, ||A||_2 = 1, threshold N/e < N -> no advantage
     label, _ = advantage_classify(np.eye(8))

@@ -174,6 +174,18 @@ def test_exit_code_bad_dt(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [[], ["--mode", "shots"], ["--force"], ["--richardson", "1"]])
+@pytest.mark.parametrize("dt", ["1e-160", "1e-300"])
+def test_quantum_tiny_dt_is_out_of_range(tmp_path, capsys, dt, extra):
+    # the 1/(N! dt^N) weights overflow: exit 3 with one error line
+    path = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2, 0.25]))
+    assert main(["quantum", "--input", path, "--dt", dt] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: dt = {dt} is too small")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("extra", [["--dt", "nan"], ["--dt", "inf", "--force"],
                                    ["--dt", "abc"], ["--richardson", "5"]])
 def test_quantum_rejects_bad_config(tmp_path, capsys, extra):

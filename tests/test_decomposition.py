@@ -235,6 +235,41 @@ def test_fd_bound_quadratic_in_dt():
     assert finite_difference_bound(np.zeros((2, 2)), 0.1) == 0.0
 
 
+TINY_DT_INPUT = np.diag([0.3, 0.2, 0.25])
+
+
+@pytest.mark.parametrize("halve", [True, False])
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("dt", [1e-160, 1e-300])
+def test_tiny_dt_weights_out_of_range(dt, complex_, halve):
+    # 1/(3! dt^3) is beyond float range: an out-of-range dt, not an OverflowError
+    a = TINY_DT_INPUT + (0.1j * np.eye(3) if complex_ else 0.0)
+    cfg = ProtocolConfig(dt=dt, halve_by_time_reversal=halve)
+    with pytest.raises(DtOutOfRangeError, match="too small"):
+        generate_terms(a, cfg)
+
+
+@pytest.mark.parametrize("halve", [True, False])
+def test_weight_past_float_range_is_out_of_range(halve):
+    # at dt^3 = 1 / (3 max) the scale 1/(3! dt^3) = max/2 fits, but the
+    # C(3,1) weight, 3 or 6 times the scale, does not; at twice that dt
+    # every weight is finite
+    dt = math.exp(-(math.log(3.0) + math.log(np.finfo(float).max)) / 3.0)
+    with pytest.raises(DtOutOfRangeError, match="too small"):
+        generate_terms(TINY_DT_INPUT, ProtocolConfig(dt=dt, halve_by_time_reversal=halve))
+    terms = generate_terms(TINY_DT_INPUT, ProtocolConfig(dt=2.0 * dt, halve_by_time_reversal=halve))
+    assert all(np.isfinite(t.weight) for t in terms)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_fd_bound_at_tiny_dt(complex_):
+    # dt^2 underflows to 0 at dt = 1e-300; the bound takes it as 2 log dt
+    a = TINY_DT_INPUT + (0.1j * np.eye(3) if complex_ else 0.0)
+    ref = finite_difference_bound(a, 1e-100)
+    assert finite_difference_bound(a, 1e-150) == pytest.approx(ref * 1e-100, rel=1e-12)
+    assert 0.0 <= finite_difference_bound(a, 1e-300) <= finite_difference_bound(a, 1e-160) <= ref
+
+
 def test_fd_error_scales_quadratically():
     # slope of log(error) vs log(dt) should be ~2
     a = small_matrix(3, 10)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -173,6 +175,59 @@ def test_controlled_gates_match_kron_oracle_in_every_orientation():
                 np.testing.assert_allclose(dense_unitary(one), kron_unitary(one), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("num_qubits", range(3, 7))
+def test_deferred_control_phase_flushed_before_mixing_its_control(num_qubits):
+    # CRZ and CRZZ leave e^(-i theta/2) on their control = 1 half for later;
+    # H or X on the control, or a CNOT onto it, must see that phase first
+    rng = np.random.default_rng(120 + num_qubits)
+    for controlled, mixer in itertools.product(("crz", "crzz"), ("h", "x", "cnot")):
+        if GATE_ARITY[controlled] > num_qubits:
+            continue
+        c, *rest = (int(q) for q in rng.permutation(num_qubits))
+        circ = random_circuit(rng, num_qubits, 4)
+        getattr(circ, controlled)(c, *rest[:GATE_ARITY[controlled] - 1], rng.uniform(-4.0, 4.0))
+        # diagonal gates between, then the gate that mixes the control's halves
+        circ.crz(rest[-1], c, rng.uniform(-4.0, 4.0))
+        circ.rzz(c, rest[0], rng.uniform(-4.0, 4.0))
+        if mixer == "cnot":
+            circ.cnot(rest[0], c)
+        else:
+            getattr(circ, mixer)(c)
+        circ.gates += random_circuit(rng, num_qubits, 4).gates
+        np.testing.assert_allclose(dense_unitary(circ), kron_unitary(circ), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_qubits", range(3, 7))
+def test_deferred_global_phase_of_rz_and_rzz_runs(num_qubits):
+    # uncontrolled phase gates leave a global phase, applied once at the end;
+    # runs of them alone, then with H and X on their qubits after the run
+    rng = np.random.default_rng(130 + num_qubits)
+    for tail in (False, True):
+        circ = QuantumCircuit(num_qubits)
+        for _ in range(12):
+            q = [int(v) for v in rng.permutation(num_qubits)[:2]]
+            if rng.integers(2):
+                circ.rz(q[0], rng.uniform(-4.0, 4.0))
+            else:
+                circ.rzz(q[0], q[1], rng.uniform(-4.0, 4.0))
+        if tail:
+            for q in range(num_qubits):
+                circ.h(q)
+                circ.x(q)
+            circ.crzz(0, 1, 2, 0.9)
+        np.testing.assert_allclose(dense_unitary(circ), kron_unitary(circ), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("synthesize", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+def test_sdg_hadamard_test_unitary_matches_kron_oracle(n, synthesize):
+    # the Im circuit: the deferred phases of the CRZZ (or CRZ and RZ) gates
+    # meet the Sdg phase on the ancilla before its closing H
+    m = np.random.default_rng(140 + n).standard_normal((n, n))
+    circ = build_hadamard_test(m, 0.45, measure_imag=True, synthesize=synthesize)
+    np.testing.assert_allclose(dense_unitary(circ), kron_unitary(circ), rtol=0, atol=1e-12)
+
+
 def assert_matches_kron_column(circ):
     # simulate_statevector starts from |0...0>: the oracle's first column
     np.testing.assert_allclose(simulate_statevector(circ), kron_unitary(circ)[:, 0],
@@ -311,6 +366,27 @@ def test_overlap_shots_draws_from_synthesized_circuit_probability(n, field_):
                 res = overlap_shots(term.matrix, dt_half, shots, seed, measure_imag=imag)
                 got = res.imag_part if imag else res.real_part
                 assert got == (2 * n0 - shots) / shots
+
+
+SHOT_COUNTS = json.loads((pathlib.Path(__file__).parent / "shot_counts.json").read_text())
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("field_", ["real", "complex"])
+def test_overlap_shots_reproduces_pinned_counts(field_, n, part):
+    # shot_counts.json holds the ancilla-0 counts overlap_shots drew for every
+    # protocol term at seeds 0-4, recorded before the simulator deferred the
+    # phase gates' common phase; the draws must stay the same
+    terms, dt_half = protocol_terms(n, field_)
+    shots = hoeffding_shots(0.05, 0.05)
+    pinned = SHOT_COUNTS[f"{field_}-{n}-{part}"]
+    assert len(pinned) == len(terms)
+    for term, counts in zip(terms, pinned):
+        for seed, n0 in enumerate(counts):
+            res = overlap_shots(term.matrix, dt_half, shots, seed, measure_imag=part == "im")
+            got = res.imag_part if part == "im" else res.real_part
+            assert got == (2 * n0 - shots) / shots
 
 
 def test_native_hadamard_test_peak_memory():
