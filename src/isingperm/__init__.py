@@ -49,7 +49,6 @@ from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
 from .matrices import (
     MatrixNorms,
     SquareMatrix,
-    gaussian_ensemble,
     ising_diag_spectral_norm,
     load_matrix,
     matrix_from_json,
@@ -63,7 +62,6 @@ from .simulator import (
     QuantumCircuit,
     ancilla_probability_zero,
     build_hadamard_test,
-    build_propagator_circuit,
     exact_overlap_evaluator,
     hoeffding_shots,
     overlap_exact,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ErrorBudget:
     eps_reduced: float
     gurvits_bound: float
     case_label: str
-    details: dict = field(default_factory=dict)
 
 
 def _exp(x: float) -> float:
@@ -78,11 +77,10 @@ def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
         eps_red = (eps_ht + 4.0 * n / 3.0) / math.sqrt(2.0 * math.pi * n)
     simplified = eps_red * _log_pow(d * E / (n * dt), n)
     gurvits = eps_red * _log_pow(m.norms.two_norm, n)
-    label, details = advantage_classify(m)
-    details.update({"dt": dt, "eps_ht": eps_ht, "d": d})
+    label, _ = advantage_classify(m)
     return ErrorBudget(fd_bound=fd, ht_bound=ht, total_bound=ht + fd,
                        simplified_bound=simplified, eps_reduced=eps_red,
-                       gurvits_bound=gurvits, case_label=label, details=details)
+                       gurvits_bound=gurvits, case_label=label)
 
 
 def advantage_classify(a):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -67,20 +67,12 @@ def permanent_naive(a) -> PermanentEstimate:
     _check_cap(n, _NAIVE_MAX_N, "permanent_naive")
     arr = m.array
     rows = np.arange(n)
+    perms = permutations(range(n))
     sums = []
-    count = 0
-    chunk = []
-    for perm in permutations(range(n)):
-        chunk.append(perm)
-        if len(chunk) == 65536:
-            sums.append(arr[rows, np.array(chunk)].prod(axis=1).sum())
-            count += len(chunk)
-            chunk = []
-    if chunk:
-        sums.append(arr[rows, np.array(chunk)].prod(axis=1).sum())
-        count += len(chunk)
+    while batch := list(islice(perms, 65536)):
+        sums.append(arr[rows, np.array(batch)].prod(axis=1).sum())
     return PermanentEstimate(value=complex(block_sum(sums)), method="naive",
-                             error_bound=0.0, wall_terms=count)
+                             error_bound=0.0, wall_terms=math.factorial(n))
 
 
 def _entries(m) -> np.ndarray:

@@ -39,7 +39,7 @@ from .decomposition import (
     select_dt,
 )
 from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
-from .matrices import SquareMatrix, gaussian_ensemble, gaussian_stack, load_matrix, save_matrix
+from .matrices import gaussian_stack, load_matrix, save_matrix
 from .simulator import exact_overlap_evaluator, hoeffding_shots, shot_overlap_evaluator
 
 _EXIT_OK = 0
@@ -114,8 +114,8 @@ def _cmd_compute(args) -> int:
     else:
         est = _METHODS[args.method](matrix)
     payload = _estimate_payload(est)
-    if est.extra and args.method in ("gapp", "gurvits"):
-        payload["extra"] = {k: v for k, v in est.extra.items()}
+    if est.extra:
+        payload["extra"] = dict(est.extra)
     _emit(payload, args.format)
     _write_manifest(args, outputs=[])
     return _EXIT_OK
@@ -219,10 +219,7 @@ def _cmd_advantage(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    matrix = gaussian_ensemble(args.n, 1, args.seed, kind=args.kind)[0]
-    if args.scale != 1.0:
-        matrix = SquareMatrix(args.scale * matrix.array)
-    save_matrix(matrix, args.output)
+    save_matrix(args.scale * gaussian_stack(args.n, 1, args.seed, kind=args.kind)[0], args.output)
     print(args.output)
     _write_manifest(args, outputs=[args.output])
     return _EXIT_OK
@@ -232,6 +229,15 @@ def _cmd_norms_report(args) -> int:
     stats = gaussian_norm_statistic(args.n, args.trials, args.seed)
     _emit(asdict(stats), args.format)
     return _EXIT_OK
+
+
+def _check_seeds(args) -> None:
+    """Reject a negative --seed and an --ensemble that is not two integers >= 0."""
+    if getattr(args, "seed", 0) < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
+    pair = getattr(args, "ensemble", None)
+    if pair and not all(v.isdecimal() for v in pair):
+        raise InvalidInputError(f"--ensemble takes two non-negative integers, got {' '.join(pair)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,6 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in the manifest
     try:
+        _check_seeds(args)
         return args.func(args)
     except DtOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,11 +168,6 @@ def gaussian_stack(n: int, count: int, seed: int, kind: str = "real-standard-nor
     return (draw[:, 0] + 1j * draw[:, 1]) / math.sqrt(2)
 
 
-def gaussian_ensemble(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
-    """The matrices of gaussian_stack(n, count, seed, kind), one SquareMatrix each."""
-    return [SquareMatrix(draw) for draw in gaussian_stack(n, count, seed, kind)]
-
-
 # --- JSON matrix format -----------------------------------------------------
 #
 # {"n": int, "rows": [[entry, ...], ...]} where entry is either a bare number

@@ -13,16 +13,16 @@ the blocked sign-vector walk of matrices.sign_blocks.  Both protocol
 evaluators therefore return the real overlap, and shot mode runs one Re
 Hadamard test per term; the Sdg (Im) circuit is kept as a checked circuit
 only.  The statevector simulator remains the Hadamard-test oracle and the
-shot-mode sampler; shot mode simulates the native circuit (one
-controlled-RZZ per matrix entry).  It writes the uniform state of a leading
-H layer directly, then applies each gate in place on reshaped views of the
-state, one length-2 axis per qubit the gate touches, so no per-gate index
-masks are built.  A phase gate scales only its odd-parity amplitudes, a
-quarter of the state for a controlled-RZZ, and its common phase waits as
-an angle on its control qubit until a gate mixes that qubit's halves.  H
-and the diagonal gates need no temporary, so a Hadamard test peaks at
-about 1.0x the state (about 1 GiB at the 26-qubit cap); X and CNOT still
-copy a half or a quarter of the state.
+shot-mode sampler.  Its six gates are H, SDG, X, CNOT, RZ and CRZZ (a ZZ
+rotation under one control qubit): shot mode simulates one CRZZ per
+matrix entry, the CNOT synthesis that resource_table counts uses CNOT and
+RZ, and X prepares basis states in hand-built circuits.  The uniform state
+of a leading H layer is written directly; every other gate acts in place
+on a reshaped view of the state, one length-2 axis per qubit it touches.
+A phase gate scales only its odd-parity amplitudes, and its common phase
+waits as an angle on its control qubit until a gate mixes that qubit's
+halves.  So a Hadamard test peaks at about 1.0x the state (about 1 GiB at
+the 26-qubit cap); X and CNOT copy a half or a quarter of the state.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ class QuantumCircuit:
     def rz(self, q, theta):
         self._add("RZ", (q,), float(theta))
 
-    def rzz(self, q1, q2, theta):
-        self._add("RZZ", (q1, q2), float(theta))
-
-    def crz(self, c, t, theta):
-        self._add("CRZ", (c, t), float(theta))
-
     def crzz(self, c, t1, t2, theta):
         self._add("CRZZ", (c, t1, t2), float(theta))
 
@@ -111,32 +105,14 @@ def _require_real(m) -> np.ndarray:
     return sm.real_part
 
 
-def build_propagator_circuit(m, dt_half: float) -> QuantumCircuit:
-    """Ising propagator exp(-i H(M) dt_half) as N^2 RZZ gates.
-
-    RZZ(theta) = exp(-i theta/2 ZZ), so entry M_pq couples qubits (q, N+p)
-    with theta = 2 M_pq dt_half.  Gates with negligible angle are elided.
-    """
-    arr = _require_real(m)
-    n = arr.shape[0]
-    circ = QuantumCircuit(num_qubits=2 * n)
-    for p in range(n):
-        for q in range(n):
-            theta = 2.0 * arr[p, q] * dt_half
-            if abs(theta) < _THETA_ELISION:
-                continue
-            circ.rzz(q, n + p, theta)
-    return circ
-
-
 def build_hadamard_test(m, dt_half: float, measure_imag: bool = False,
                         synthesize: bool = True) -> QuantumCircuit:
     """Hadamard-test circuit for Re (or Im) of <phi|U(M; dt_half)|phi>.
 
-    Ancilla is qubit 2N.  Each controlled-RZZ is synthesized as
-    CNOT(t1,t2) CRZ(c,t2) CNOT(t1,t2), and each CRZ as two RZ plus two CNOT,
-    giving 4 CNOTs per nonzero matrix entry (4N^2 for dense M); pass
-    synthesize=False to keep native CRZZ gates.
+    Ancilla is qubit 2N.  Each CRZZ (controlled ZZ rotation) is synthesized
+    as CNOT(t1,t2), a controlled RZ on t2 made of two RZ and two CNOT, and
+    CNOT(t1,t2), giving 4 CNOTs per nonzero matrix entry (4N^2 for dense M);
+    pass synthesize=False to keep native CRZZ gates.
     """
     arr = _require_real(m)
     n = arr.shape[0]
@@ -202,13 +178,13 @@ _ODD_BITS = {1: [(1,)], 2: [(0, 1), (1, 0)]}
 def _apply_gate(v: np.ndarray, g: Gate) -> float:
     """Apply one gate in place to v = _split(state, g.qubits), up to a phase.
 
-    RZ, RZZ, CRZ and CRZZ scale only the slices where the targets' Z parity
-    is odd, by e^(i theta), and return the angle -theta/2 of the phase they
-    leave out: e^(-i theta/2) on the whole (control = 1) view.  Every other
+    RZ and CRZZ scale only the slices where the targets' Z parity is odd, by
+    e^(i theta), and return the angle -theta/2 of the phase they leave out:
+    e^(-i theta/2) on the whole (control = 1) view.  Every other
     gate returns 0.0.  Only X and CNOT make a temporary (their swap copy),
     freed on return.
     """
-    controlled = g.name in ("CNOT", "CRZ", "CRZZ")
+    controlled = g.name in ("CNOT", "CRZZ")
     if controlled:
         v = v[1]  # the control = 1 half
     if g.name == "H":  # (a0, a1) -> (a0 + a1, a0 - a1) / sqrt(2) with no temporary
@@ -225,7 +201,7 @@ def _apply_gate(v: np.ndarray, g: Gate) -> float:
         a1[...] = tmp
     elif g.name == "SDG":
         v[1] *= -1j
-    elif g.name in ("RZ", "RZZ", "CRZ", "CRZZ"):
+    elif g.name in ("RZ", "CRZZ"):
         turn = cmath.exp(1j * g.theta)
         for bits in _ODD_BITS[len(g.qubits) - controlled]:
             v[bits] *= turn
@@ -238,29 +214,23 @@ def _apply_gate(v: np.ndarray, g: Gate) -> float:
 def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     """Exact dense simulation from |0...0>, little-endian qubit order.
 
-    The circuit's leading run of H gates on distinct qubits is not applied
-    gate by gate: from |0...0> it makes 2^(-k/2) on the 2^k indices whose
-    bits outside its k qubits are 0, written in one pass through a view
-    with one axis per qubit.  The run ends at the first other gate or at a
-    second H on one of its qubits, so a Hadamard test opens with one write
-    instead of 2N+1 H passes, and its Sdg (Im) variant's run stops at the
-    Sdg.  Every later gate acts in place on a view of the state with one
-    length-2 axis per qubit it touches (see _split): H and X on the halves
-    where its qubit is 0 and 1, CNOT by swapping the two target slices
-    inside the control = 1 half, and RZ, RZZ, CRZ and CRZZ by scaling only
-    the (control = 1) slices where the targets' Z parity is odd by
-    e^(i theta).  Their common factor e^(-i theta/2) is deferred: the angles
-    are collected per control qubit, and the control = 1 half is scaled
-    once by e^(i fsum(angles)) just before the next H or X on that qubit or
-    CNOT onto it, or at the end.  It commutes with every gate in between,
-    which is diagonal or block diagonal in that qubit, and one correctly
-    rounded angle keeps the rounding below that of a running product of
-    phases.  The uncontrolled gates' angles scale the whole state once at
-    the end.  Each qubit tuple's view is built once per circuit.  H, SDG,
-    the diagonal gates and the deferred phases make no temporary, so a
-    Hadamard test's traced peak is about 1.0x the state's bytes plus numpy's
-    fixed iteration buffers (under 0.5 MiB); X copies half the state and
-    CNOT a quarter.
+    A leading run of H gates on distinct qubits (it ends at any other gate
+    or a repeated qubit) is one write: 2^(-k/2) on the 2^k indices whose
+    other bits are 0, so a Hadamard test opens with one pass, not 2N+1.
+    Each later gate, one of the six, acts in place on a view with one
+    length-2 axis per qubit it touches (see _split; built once per qubit
+    tuple): H and X on the halves where its qubit is 0 and 1, SDG on the 1
+    half, CNOT by swapping the two target slices inside the control = 1
+    half, and RZ and CRZZ by scaling only the (control = 1) slices where
+    the targets' Z parity is odd by e^(i theta).  Their common factor
+    e^(-i theta/2) is deferred: the angles are collected per control qubit
+    (RZ's for the whole state), and the control = 1 half is scaled once by
+    e^(i fsum(angles)) just before the next H or X on that qubit or CNOT
+    onto it, or at the end.  The factor commutes with every gate in
+    between, and one correctly rounded angle rounds less than a running
+    product of phases.  Only X and CNOT make a temporary (half and a quarter
+    of the state), so a Hadamard test's traced peak is about 1.0x the
+    state's bytes plus numpy's fixed iteration buffers (under 0.5 MiB).
     """
     nq = circ.num_qubits
     if nq > _MAX_QUBITS:
@@ -296,7 +266,7 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
             flush(g.qubits[-1])  # the gate mixes that qubit's halves
         angle = _apply_gate(view(g.qubits), g)
         if angle:
-            control = g.qubits[0] if g.name in ("CRZ", "CRZZ") else None
+            control = g.qubits[0] if g.name == "CRZZ" else None
             deferred.setdefault(control, []).append(angle)
     for q in list(deferred):
         flush(q)
@@ -313,13 +283,14 @@ def ancilla_probability_zero(circ: QuantumCircuit, ancilla: int) -> float:
 
 @dataclass
 class OverlapResult:
-    """One evaluated overlap Re/Im pair with its sampling metadata."""
+    """One evaluated overlap Re/Im pair and the shots it drew (0 if exact).
+
+    A shot estimate e of one part has variance (1 - e^2) / shots_used.
+    """
 
     real_part: float
     imag_part: float | None
-    variance_estimate: float
     shots_used: int
-    mode: str
 
     @property
     def value(self) -> complex:
@@ -346,8 +317,7 @@ def overlap_exact(m, dt_half: float) -> OverlapResult:
     for _, cols in sign_blocks(arr, 16 * n):
         cols *= dt_half
         lanes.add(np.cos(cols, out=cols).prod(axis=0))
-    return OverlapResult(real_part=lanes.total() / 2**n, imag_part=0.0,
-                         variance_estimate=0.0, shots_used=0, mode="exact")
+    return OverlapResult(real_part=lanes.total() / 2**n, imag_part=0.0, shots_used=0)
 
 
 def overlap_shots(m, dt_half: float, shots: int, seed: int | list[int],
@@ -355,7 +325,7 @@ def overlap_shots(m, dt_half: float, shots: int, seed: int | list[int],
     """Shot-sampled Hadamard-test estimate of Re (or Im) of the overlap.
 
     Simulates the native circuit (build_hadamard_test with synthesize=False:
-    N^2 controlled-RZZ gates, not the 6N^2 gates of the CNOT synthesis, whose
+    N^2 CRZZ gates, not the 6N^2 gates of the CNOT synthesis, whose
     ancilla probability is the same up to rounding) and draws the ancilla
     count from its exact marginal, which is statistically identical to
     full-register sampling for this observable.  seed is anything
@@ -364,20 +334,15 @@ def overlap_shots(m, dt_half: float, shots: int, seed: int | list[int],
     """
     if shots < 1:
         raise InvalidInputError("shots must be >= 1")
-    arr = _require_real(m)
-    n = arr.shape[0]
-    circ = build_hadamard_test(arr, dt_half, measure_imag=measure_imag, synthesize=False)
-    p0 = ancilla_probability_zero(circ, 2 * n)
+    circ = build_hadamard_test(m, dt_half, measure_imag=measure_imag, synthesize=False)
+    p0 = ancilla_probability_zero(circ, circ.num_qubits - 1)
     p0 = min(max(p0, 0.0), 1.0)
     rng = np.random.default_rng(seed)
     n0 = int(rng.binomial(shots, p0))
     est = (2 * n0 - shots) / shots
-    result = OverlapResult(real_part=est, imag_part=None,
-                           variance_estimate=(1.0 - est * est) / shots,
-                           shots_used=shots, mode="shots")
     if measure_imag:
-        result.real_part, result.imag_part = 0.0, est
-    return result
+        return OverlapResult(real_part=0.0, imag_part=est, shots_used=shots)
+    return OverlapResult(real_part=est, imag_part=None, shots_used=shots)
 
 
 def hoeffding_shots(epsilon_ht: float, delta: float) -> int:

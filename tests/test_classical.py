@@ -10,7 +10,6 @@ from isingperm import matrices
 from isingperm import (
     DimensionTooLargeError,
     InvalidInputError,
-    gaussian_ensemble,
     norms,
     overlap_exact,
     permanent_gapp,

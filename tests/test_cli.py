@@ -198,6 +198,28 @@ def test_quantum_rejects_bad_config(tmp_path, capsys, extra):
     assert "matrix entries" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "3", "--seed", "-1", "--output", "{dir}/g.json"],
+    ["compute", "--input", "{m}", "--method", "gurvits", "--seed", "-1"],
+    ["quantum", "--input", "{m}", "--mode", "shots", "--seed", "-1"],
+    ["gaussian-stat", "--n", "3", "--seed", "-1"],
+    ["advantage", "--n-min", "2", "--n-max", "3", "--ensemble", "10", "-9"],
+    ["advantage", "--n-min", "2", "--n-max", "3", "--ensemble", "abc", "1"],
+], ids=["generate", "gurvits", "shots", "gaussian-stat", "ensemble-negative",
+        "ensemble-not-int"])
+def test_bad_seed_is_an_input_error(tmp_path, capsys, argv):
+    # numpy rejects a negative seed with a ValueError: the CLI must catch it
+    # first and exit 1 with one error line
+    path = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2]))
+    argv = [a.format(dir=tmp_path, m=path) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_resources_csv_and_json(capsys):
     assert main(["resources", "--n", "3"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -14,7 +14,6 @@ from isingperm import (
     QuantumCircuit,
     ancilla_probability_zero,
     build_hadamard_test,
-    build_propagator_circuit,
     generate_terms,
     hoeffding_shots,
     overlap_exact,
@@ -74,14 +73,9 @@ def kron_gate(num_qubits, gate):
         return kron_chain(num_qubits, {q[0]: SINGLE[gate.name]})
     if gate.name == "RZ":
         return kron_chain(num_qubits, {q[0]: rz_matrix(theta)})
-    if gate.name == "RZZ":
-        return (np.cos(theta / 2) * np.eye(2**num_qubits)
-                - 1j * np.sin(theta / 2) * kron_chain(num_qubits, {q[0]: Z, q[1]: Z}))
     off = kron_chain(num_qubits, {q[0]: P0})
     if gate.name == "CNOT":
         return off + kron_chain(num_qubits, {q[0]: P1, q[1]: X})
-    if gate.name == "CRZ":
-        return off + kron_chain(num_qubits, {q[0]: P1, q[1]: rz_matrix(theta)})
     assert gate.name == "CRZZ"
     return (off + np.cos(theta / 2) * kron_chain(num_qubits, {q[0]: P1})
             - 1j * np.sin(theta / 2) * kron_chain(num_qubits, {q[0]: P1, q[1]: Z, q[2]: Z}))
@@ -94,7 +88,7 @@ def kron_unitary(circuit):
     return u
 
 
-GATE_ARITY = {"h": 1, "sdg": 1, "x": 1, "rz": 1, "cnot": 2, "rzz": 2, "crz": 2, "crzz": 3}
+GATE_ARITY = {"h": 1, "sdg": 1, "x": 1, "rz": 1, "cnot": 2, "crzz": 3}
 
 
 def random_circuit(rng, num_qubits, length):
@@ -103,7 +97,7 @@ def random_circuit(rng, num_qubits, length):
     for _ in range(length):
         name = names[rng.integers(len(names))]
         qubits = [int(q) for q in rng.permutation(num_qubits)[:GATE_ARITY[name]]]
-        theta = [rng.uniform(-4.0, 4.0)] if name in ("rz", "rzz", "crz", "crzz") else []
+        theta = [rng.uniform(-4.0, 4.0)] if name in ("rz", "crzz") else []
         getattr(circ, name)(*qubits, *theta)
     return circ
 
@@ -139,17 +133,6 @@ def test_cnot_both_orientations():
     assert np.allclose(dense_unitary(circ), expected)
 
 
-def test_rzz_matches_kron_oracle():
-    theta = -1.234
-    circ = QuantumCircuit(3)
-    circ.rzz(0, 2, theta)
-    zz = kron_chain(3, {0: Z, 2: Z})
-    expected = (
-        np.cos(theta / 2) * np.eye(8) - 1j * np.sin(theta / 2) * zz
-    )
-    assert np.allclose(dense_unitary(circ), expected)
-
-
 @pytest.mark.parametrize("num_qubits", range(1, 7))
 def test_simulator_matches_kron_oracle_on_random_circuits(num_qubits):
     rng = np.random.default_rng(40 + num_qubits)
@@ -162,13 +145,12 @@ def test_simulator_matches_kron_oracle_on_random_circuits(num_qubits):
 
 
 def test_controlled_gates_match_kron_oracle_in_every_orientation():
-    # CNOT and CRZ with the control above and below the target, CRZZ with the
+    # CNOT with the control above and below the target, CRZZ with the
     # control above, between and below its targets, on adjacent and gapped qubits
     for num_qubits, qubits in ((3, (0, 1, 2)), (5, (0, 2, 4))):
         for c, t1, t2 in itertools.permutations(qubits):
             circ = QuantumCircuit(num_qubits)
             circ.cnot(c, t1)
-            circ.crz(c, t1, 0.613)
             circ.crzz(c, t1, t2, -1.371)
             for g in circ.gates:
                 one = QuantumCircuit(num_qubits, [g])
@@ -177,18 +159,16 @@ def test_controlled_gates_match_kron_oracle_in_every_orientation():
 
 @pytest.mark.parametrize("num_qubits", range(3, 7))
 def test_deferred_control_phase_flushed_before_mixing_its_control(num_qubits):
-    # CRZ and CRZZ leave e^(-i theta/2) on their control = 1 half for later;
-    # H or X on the control, or a CNOT onto it, must see that phase first
+    # CRZZ leaves e^(-i theta/2) on its control = 1 half for later; H or X on
+    # the control, or a CNOT onto it, must see that phase first
     rng = np.random.default_rng(120 + num_qubits)
-    for controlled, mixer in itertools.product(("crz", "crzz"), ("h", "x", "cnot")):
-        if GATE_ARITY[controlled] > num_qubits:
-            continue
+    for mixer in ("h", "x", "cnot"):
         c, *rest = (int(q) for q in rng.permutation(num_qubits))
         circ = random_circuit(rng, num_qubits, 4)
-        getattr(circ, controlled)(c, *rest[:GATE_ARITY[controlled] - 1], rng.uniform(-4.0, 4.0))
+        circ.crzz(c, rest[0], rest[1], rng.uniform(-4.0, 4.0))
         # diagonal gates between, then the gate that mixes the control's halves
-        circ.crz(rest[-1], c, rng.uniform(-4.0, 4.0))
-        circ.rzz(c, rest[0], rng.uniform(-4.0, 4.0))
+        circ.crzz(rest[-1], c, rest[0], rng.uniform(-4.0, 4.0))
+        circ.rz(c, rng.uniform(-4.0, 4.0))
         if mixer == "cnot":
             circ.cnot(rest[0], c)
         else:
@@ -199,8 +179,9 @@ def test_deferred_control_phase_flushed_before_mixing_its_control(num_qubits):
 
 @pytest.mark.parametrize("num_qubits", range(3, 7))
 def test_deferred_global_phase_of_rz_and_rzz_runs(num_qubits):
-    # uncontrolled phase gates leave a global phase, applied once at the end;
-    # runs of them alone, then with H and X on their qubits after the run
+    # RZ, the uncontrolled phase gate, leaves a global phase, applied once at
+    # the end; runs of RZ and of RZZ built as CNOT RZ CNOT (the CNOTs must not
+    # flush it), alone, then with H and X on their qubits after the run
     rng = np.random.default_rng(130 + num_qubits)
     for tail in (False, True):
         circ = QuantumCircuit(num_qubits)
@@ -209,7 +190,9 @@ def test_deferred_global_phase_of_rz_and_rzz_runs(num_qubits):
             if rng.integers(2):
                 circ.rz(q[0], rng.uniform(-4.0, 4.0))
             else:
-                circ.rzz(q[0], q[1], rng.uniform(-4.0, 4.0))
+                circ.cnot(q[0], q[1])
+                circ.rz(q[1], rng.uniform(-4.0, 4.0))
+                circ.cnot(q[0], q[1])
         if tail:
             for q in range(num_qubits):
                 circ.h(q)
@@ -418,31 +401,6 @@ def test_crzz_decomposition_matches_native():
     assert np.allclose(dense_unitary(native), dense_unitary(manual))
 
 
-def test_propagator_matches_matrix_exponential():
-    rng = np.random.default_rng(51)
-    n = 2
-    m = rng.standard_normal((n, n))
-    dt_half = 0.4
-    circ = build_propagator_circuit(m, dt_half)
-    got = dense_unitary(circ)
-    # oracle: H(M) is diagonal in the computational basis
-    diag = np.zeros(2 ** (2 * n))
-    for state in range(2 ** (2 * n)):
-        z = np.array([1.0 if not (state >> q) & 1 else -1.0 for q in range(2 * n)])
-        diag[state] = sum(
-            m[p, q] * z[n + p] * z[q] for p in range(n) for q in range(n)
-        )
-    expected = np.diag(np.exp(-1j * dt_half * diag))
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_propagator_elides_zero_entries():
-    m = np.zeros((3, 3))
-    m[1, 2] = 0.5
-    circ = build_propagator_circuit(m, 0.3)
-    assert len(circ.gates) == 1
-
-
 @pytest.mark.parametrize("imag", [False, True])
 def test_hadamard_test_recovers_overlap(imag):
     rng = np.random.default_rng(53)
@@ -498,8 +456,6 @@ def test_overlap_shots_converges_and_is_seeded():
     assert a.real_part == pytest.approx(exact.real_part, abs=0.01)
     assert a.imag_part is None
     assert a.shots_used == 200_000
-    assert a.mode == "shots"
-    assert a.variance_estimate > 0.0
     im = overlap_shots(m, 0.5, shots=200_000, seed=12, measure_imag=True)
     assert im.imag_part == pytest.approx(exact.imag_part, abs=0.01)
     assert im.real_part == 0.0
@@ -539,8 +495,7 @@ def test_gate_validation():
 
 
 def test_overlap_result_value():
-    res = OverlapResult(real_part=0.25, imag_part=-0.5, variance_estimate=0.0,
-                        shots_used=0, mode="exact_overlap")
+    res = OverlapResult(real_part=0.25, imag_part=-0.5, shots_used=0)
     assert res.value == 0.25 - 0.5j
 
 
