@@ -23,6 +23,7 @@ from .analysis import (
 )
 from .classical import (
     PermanentEstimate,
+    glynn_kan_operator_expectation,
     permanent_gapp,
     permanent_glynn,
     permanent_glynn_kan,
@@ -39,7 +40,6 @@ from .decomposition import (
     convergence_dt_max,
     finite_difference_bound,
     generate_terms,
-    glynn_kan_operator_expectation,
     recombine,
     richardson_extrapolate,
     run_protocol,

@@ -9,12 +9,10 @@ import numpy as np
 
 from . import matrices
 from .accumulate import block_sum
-from .decomposition import (_LOG_FLOAT_MAX, convergence_dt_max, finite_difference_bound,
-                            log_weight_scale)
+from .decomposition import (E, check_convergence, convergence_d, exp_or_inf,
+                            finite_difference_bound, log_weight_scale)
 from .errors import DtOutOfRangeError, InvalidInputError
 from .matrices import as_matrix
-
-E = math.e
 
 
 @dataclass
@@ -37,16 +35,11 @@ class ErrorBudget:
     case_label: str
 
 
-def _exp(x: float) -> float:
-    """math.exp, with inf where the result is too large for a float."""
-    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
-
-
 def _log_pow(base: float, exponent: float) -> float:
     """base ** exponent via logs; 0 for base 0."""
     if base == 0.0:
         return 0.0
-    return _exp(exponent * math.log(base))
+    return exp_or_inf(exponent * math.log(base))
 
 
 def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
@@ -63,13 +56,13 @@ def total_error_bound(a, dt: float, eps_ht: float) -> ErrorBudget:
     n = m.n
     if eps_ht < 0.0:
         raise InvalidInputError("eps_ht must be nonnegative")
-    limit = convergence_dt_max(m)
-    if dt <= 0.0 or dt > limit * (1.0 + 1e-12):
-        raise DtOutOfRangeError(f"dt = {dt:g} outside (0, {limit:g}]")
-    d = 2.0 if m.is_real else 4.0
+    if dt <= 0.0:
+        raise DtOutOfRangeError(f"dt = {dt:g} must be positive")
+    check_convergence(m, dt)
+    d = convergence_d(m)
     log_weight_scale(n, dt)  # raises where the protocol's weights overflow
 
-    ht = eps_ht * _exp(n * math.log(d / dt) - math.lgamma(n + 1)) if eps_ht else 0.0
+    ht = eps_ht * exp_or_inf(n * math.log(d / dt) - math.lgamma(n + 1)) if eps_ht else 0.0
     fd = finite_difference_bound(m, dt)
     if m.is_real:
         eps_red = (eps_ht + n / 6.0) / math.sqrt(2.0 * math.pi * n)

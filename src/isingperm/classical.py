@@ -12,7 +12,9 @@ unsigned Glynn-Kan total that GapP also needs changes by (-1)^N under the
 same flip, so its quarter gives the full total only at even N, which GapP
 always has after padding.
 Randomized route: the Gurvits additive-error sampler, in batches that fit the
-same block budget.
+same block budget.  Dense check: the operator expectation <phi|P H(A)^N|phi>
+/ N! on the 4^N-entry state.  Kernels read SquareMatrix.entries, so real
+input runs in real arithmetic.
 
 The exact evaluators double as oracles for the quantum protocol tests.
 """
@@ -35,6 +37,7 @@ _RYSER_MAX_N = 30
 _GLYNN_MAX_N = 28
 _GLYNN_KAN_MAX_N = 13
 _GAPP_MAX_N = 12
+_OPERATOR_MAX_N = 7
 
 
 @dataclass
@@ -75,10 +78,6 @@ def permanent_naive(a) -> PermanentEstimate:
                              error_bound=0.0, wall_terms=math.factorial(n))
 
 
-def _entries(m) -> np.ndarray:
-    return m.real_part if m.is_real else m.array
-
-
 def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray):
     """Sum over sign vectors x of par(x) * prod_j (shift + x @ w)_j.
 
@@ -104,7 +103,7 @@ def permanent_ryser(a) -> PermanentEstimate:
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _RYSER_MAX_N, "permanent_ryser")
-    arr = _entries(m)
+    arr = m.entries
     value = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1)[:, None])
     return PermanentEstimate(value=complex(value), method="ryser",
                              error_bound=0.0, wall_terms=(1 << n) - 1)
@@ -120,7 +119,7 @@ def permanent_glynn(a) -> PermanentEstimate:
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _GLYNN_MAX_N, "permanent_glynn")
-    w = _entries(m).T
+    w = m.entries.T
     value = _signed_row_product_sum(w[1:], w[0][:, None]) / (1 << (n - 1))
     return PermanentEstimate(value=complex(value), method="glynn",
                              error_bound=0.0, wall_terms=1 << n)
@@ -183,7 +182,7 @@ def permanent_glynn_kan(a) -> PermanentEstimate:
     n = m.n
     _check_cap(n, _GLYNN_KAN_MAX_N, "permanent_glynn_kan")
     scale = math.factorial(n) * 4**n
-    signed, _ = _glynn_kan_sums(_entries(m))
+    signed, _ = _glynn_kan_sums(m.entries)
     return PermanentEstimate(value=complex(signed / scale),
                              method="glynn_kan" if m.is_real else "glynn_kan_complex",
                              error_bound=0.0, wall_terms=4**n)
@@ -203,7 +202,7 @@ def permanent_gapp(b) -> PermanentEstimate:
         raise InvalidInputError("permanent_gapp requires a real matrix")
     n = m.n
     _check_cap(n, _GAPP_MAX_N, "permanent_gapp")
-    arr = m.real_part
+    arr = m.entries
     padded = n % 2 == 1
     if padded:
         square = np.zeros((n + 1, n + 1))
@@ -246,7 +245,7 @@ def permanent_gurvits(a, samples: int, seed: int) -> PermanentEstimate:
     n = m.n
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    arr = _entries(m)
+    arr = m.entries
     words = -(-n // 64)
     # per sample: its words, one byte per unpacked bit, the float signs and
     # the products x_j (A x)_j
@@ -279,3 +278,28 @@ def permanent_gurvits(a, samples: int, seed: int) -> PermanentEstimate:
     return PermanentEstimate(value=complex(mean), method="gurvits", error_bound=bound,
                              samples_used=samples, wall_terms=samples,
                              extra={"stderr": stderr})
+
+
+def glynn_kan_operator_expectation(a) -> PermanentEstimate:
+    """Per(A) as <phi|P H(A)^N|phi> / N! on the dense 2N-qubit state.
+
+    Builds the uniform superposition over 2^{2N} basis states, applies the
+    diagonal Ising operator N times, applies the parity operator, and takes
+    the inner product with the uniform state.
+    """
+    m = as_matrix(a)
+    n = m.n
+    _check_cap(n, _OPERATOR_MAX_N, "glynn_kan_operator_expectation")
+    s = sign_matrix(2 * n)
+    x = s[:, :n]           # spins of qubits 1..N
+    xp = s[:, n:]          # spins of qubits N+1..2N
+    diag = ((xp @ m.array) * x).sum(axis=1)          # <s|H(A)|s>
+    parity = x.prod(axis=1) * xp.prod(axis=1)        # <s|P|s>
+    amp = np.full(s.shape[0], 1.0 / 2**n, dtype=np.complex128)
+    vec = amp.copy()
+    for _ in range(n):
+        vec = vec * diag
+    vec = vec * parity
+    value = complex(np.conj(amp) @ vec) / math.factorial(n)
+    return PermanentEstimate(value=value, method="operator_expectation",
+                             error_bound=0.0, wall_terms=4**n)

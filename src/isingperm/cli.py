@@ -3,8 +3,10 @@
 Subcommands: compute (classical permanents), quantum (the overlap
 protocol end-to-end), resources (circuit accounting table), advantage
 (Q(N) CSV, optional ensemble case frequencies), generate (random matrix
-files).  Exit codes: 0 ok, 1 input parse failure, 2 dimension cap, 3
-invalid time step.
+files), gaussian-stat (Monte-Carlo Ising-norm statistic).  Each command
+returns the fields its manifest records, and main writes the manifest.
+Exit codes: 0 ok, 1 invalid input or a file that cannot be read or
+written, 2 dimension cap, 3 invalid time step.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .analysis import (
 )
 from .classical import (
     PermanentEstimate,
+    glynn_kan_operator_expectation,
     permanent_gapp,
     permanent_glynn,
     permanent_glynn_kan,
@@ -32,20 +35,14 @@ from .classical import (
     permanent_naive,
     permanent_ryser,
 )
-from .decomposition import (
-    ProtocolConfig,
-    glynn_kan_operator_expectation,
-    run_protocol,
-    select_dt,
-)
+from .decomposition import ProtocolConfig, run_protocol, select_dt
 from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
 from .matrices import gaussian_stack, load_matrix, save_matrix
 from .simulator import exact_overlap_evaluator, hoeffding_shots, shot_overlap_evaluator
 
-_EXIT_OK = 0
-_EXIT_PARSE = 1
-_EXIT_CAP = 2
-_EXIT_DT = 3
+# exit code of each error main reports, most specific class first (0: success)
+_EXIT_CODES = ((DtOutOfRangeError, 3), (DimensionTooLargeError, 2),
+               (InvalidInputError, 1), (OSError, 1))
 
 _METHODS = {
     "naive": permanent_naive,
@@ -90,24 +87,23 @@ def _emit(payload: dict, fmt: str) -> None:
         print(f"{key:24s} {value}")
 
 
-def _write_manifest(args, outputs: list[str], config: dict | None = None) -> None:
-    path = getattr(args, "manifest", None)
-    if not path:
+def _write_manifest(args, outputs=(), config: dict | None = None) -> None:
+    if not args.manifest:
         return
     manifest = {
         "command": args.command,
         "argv": args.argv,
         "input_path": getattr(args, "input", None),
         "config": config or {},
-        "outputs": outputs,
+        "outputs": list(outputs),
         "versions": f"isingperm {__version__}",
         "seed": getattr(args, "seed", None),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.manifest, "w", encoding="utf-8") as fh:
         fh.write(_dumps(manifest, indent=2) + "\n")
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> dict:
     matrix = load_matrix(args.input)
     if args.method == "gurvits":
         est = permanent_gurvits(matrix, samples=args.samples, seed=args.seed)
@@ -117,11 +113,10 @@ def _cmd_compute(args) -> int:
     if est.extra:
         payload["extra"] = dict(est.extra)
     _emit(payload, args.format)
-    _write_manifest(args, outputs=[])
-    return _EXIT_OK
+    return {}
 
 
-def _cmd_quantum(args) -> int:
+def _cmd_quantum(args) -> dict:
     matrix = load_matrix(args.input)
     selection = select_dt(matrix)
     try:
@@ -146,15 +141,9 @@ def _cmd_quantum(args) -> int:
     est = run_protocol(matrix, cfg, evaluator)
     try:
         # at the finest step the run used, where estimate.error_bound is taken
-        budget = total_error_bound(matrix, dt / 2**cfg.richardson_levels, eps_ht=eps_ht)
-        budget_payload = {
-            "fd_bound": budget.fd_bound,
-            "ht_bound": budget.ht_bound,
-            "total_bound": budget.total_bound,
-            "simplified_bound": budget.simplified_bound,
-            "gurvits_bound": budget.gurvits_bound,
-            "case_label": budget.case_label,
-        }
+        budget_payload = asdict(
+            total_error_bound(matrix, dt / 2**cfg.richardson_levels, eps_ht=eps_ht))
+        del budget_payload["eps_reduced"]
     except DtOutOfRangeError:
         if not args.force:
             raise
@@ -174,29 +163,25 @@ def _cmd_quantum(args) -> int:
             if key in est.extra:
                 payload[key] = [[complex(v).real, complex(v).imag] for v in est.extra[key]]
     _emit(payload, args.format)
-    _write_manifest(args, outputs=[], config=asdict(cfg))
-    return _EXIT_OK
+    return {"config": asdict(cfg)}
 
 
-def _cmd_resources(args) -> int:
-    report = resource_table(args.n, is_complex=args.complex)
+def _cmd_resources(args) -> dict:
+    report = asdict(resource_table(args.n, is_complex=args.complex))
     if args.format == "json":
-        print(_dumps(asdict(report)))
+        print(_dumps(report))
     elif args.format == "csv":
-        fields = ["n", "is_complex", "overlaps", "qubits", "cnots_formula",
-                  "depth_formula", "cnots_measured", "depth_measured",
-                  "total_samples_order"]
-        print(",".join(fields))
-        print(",".join(str(getattr(report, f)) for f in fields))
-        print(f"# note: {report.discrepancy_note}")
+        note = report.pop("discrepancy_note")
+        print(",".join(report))
+        print(",".join(str(value) for value in report.values()))
+        print(f"# note: {note}")
     else:
-        for key, value in asdict(report).items():
+        for key, value in report.items():
             print(f"{key:22s} {value}")
-    _write_manifest(args, outputs=[])
-    return _EXIT_OK
+    return {}
 
 
-def _cmd_advantage(args) -> int:
+def _cmd_advantage(args) -> dict:
     rows = advantage_domain_ratio(args.n_min, args.n_max)
     header = ["N", "Q"]
     freq_rows = None
@@ -214,21 +199,19 @@ def _cmd_advantage(args) -> int:
         if freq_rows is not None:
             cells += [f"{f:.6f}" for f in freq_rows[i]]
         print(",".join(cells))
-    _write_manifest(args, outputs=[])
-    return _EXIT_OK
+    return {}
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> dict:
     save_matrix(args.scale * gaussian_stack(args.n, 1, args.seed, kind=args.kind)[0], args.output)
     print(args.output)
-    _write_manifest(args, outputs=[args.output])
-    return _EXIT_OK
+    return {"outputs": [args.output]}
 
 
-def _cmd_norms_report(args) -> int:
+def _cmd_norms_report(args) -> dict:
     stats = gaussian_norm_statistic(args.n, args.trials, args.seed)
     _emit(asdict(stats), args.format)
-    return _EXIT_OK
+    return {}
 
 
 def _check_seeds(args) -> None:
@@ -251,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--manifest", help="write a reproducibility manifest to this path")
 
     p = sub.add_parser("compute", help="classical permanent of a matrix file")
     p.add_argument("--input", required=True, help="matrix JSON file")
@@ -280,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--complex", action="store_true")
     p.add_argument("--format", choices=("json", "csv", "table"), default="csv")
-    p.add_argument("--manifest")
     p.set_defaults(func=_cmd_resources)
 
     p = sub.add_parser("advantage", help="Q(N) advantage-domain ratio CSV")
@@ -288,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--ensemble", nargs=2, metavar=("TRIALS", "SEED"),
                    help="append Gaussian-ensemble case-label frequencies")
-    p.add_argument("--manifest")
     p.set_defaults(func=_cmd_advantage)
 
     p = sub.add_parser("generate", help="write a random Gaussian matrix file")
@@ -298,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="real-standard-normal")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--output", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("gaussian-stat", help="Monte-Carlo Ising-norm statistic")
@@ -308,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_norms_report)
 
+    for p in sub.choices.values():  # main writes every command's manifest
+        p.add_argument("--manifest", help="write a reproducibility manifest to this path")
     return parser
 
 
@@ -318,16 +299,11 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded in the manifest
     try:
         _check_seeds(args)
-        return args.func(args)
-    except DtOutOfRangeError as exc:
+        _write_manifest(args, **args.func(args))
+        return 0
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DT
-    except DimensionTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CAP
-    except (InvalidInputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

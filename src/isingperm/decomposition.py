@@ -4,7 +4,9 @@ Turns a permanent into a weighted sum of propagator overlaps: generates the
 shifted matrices and combination weights for real and complex inputs,
 selects the time step, halves the term list by time-reversal pairing, and
 runs the protocol: evaluates and recombines the overlaps at each
-Richardson level and extrapolates in dt^2.
+Richardson level and extrapolates in dt^2.  Real or complex input is
+SquareMatrix.is_real; the dense operator expectation the protocol
+approximates is classical.glynn_kan_operator_expectation.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import numpy as np
 
 from .accumulate import block_sum
 from .classical import PermanentEstimate
-from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
-from .matrices import SquareMatrix, as_matrix, sign_matrix
+from .errors import DtOutOfRangeError, InvalidInputError
+from .matrices import SquareMatrix, as_matrix
 
-_OPERATOR_MAX_N = 7
 _RICHARDSON_MAX_LEVELS = 4
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 E = math.e
@@ -67,20 +68,23 @@ class ProtocolConfig:
                 f"richardson_levels must be in 0..{_RICHARDSON_MAX_LEVELS}")
 
 
+def convergence_d(m: SquareMatrix) -> float:
+    """d of the convergence condition dt <= d/||H(A)||: 2 real, 4 complex."""
+    return 2.0 if m.is_real else 4.0
+
+
 def convergence_dt_max(a) -> float:
     """Largest dt meeting the expansion's convergence condition, d/||H(A)||."""
     m = as_matrix(a)
-    d = 2.0 if m.is_real else 4.0
     h = m.norms.ising_norm
-    return d / h if h > 0.0 else math.inf
+    return convergence_d(m) / h if h > 0.0 else math.inf
 
 
-def check_convergence(a, cfg: ProtocolConfig) -> None:
+def check_convergence(a, dt: float, allow_override: bool = False) -> None:
+    """Raise DtOutOfRangeError for dt above convergence_dt_max(a), unless overridden."""
     limit = convergence_dt_max(a)
-    if cfg.dt > limit * (1.0 + 1e-12) and not cfg.allow_dt_override:
-        raise DtOutOfRangeError(
-            f"dt = {cfg.dt:g} violates the convergence bound dt <= {limit:g}"
-        )
+    if dt > limit * (1.0 + 1e-12) and not allow_override:
+        raise DtOutOfRangeError(f"dt = {dt:g} violates the convergence bound dt <= {limit:g}")
 
 
 # --- Delta-t selection --------------------------------------------------------
@@ -126,7 +130,7 @@ def select_dt(a) -> DtSelection:
     m = as_matrix(a)
     n = m.n
     two_norm = m.norms.two_norm
-    d = 2.0 if m.is_real else 4.0
+    d = convergence_d(m)
     upper = convergence_dt_max(m)
     exp_win = _window(d * E / n, upper)
     gur_lower = d * E / (n * two_norm) if two_norm > 0.0 else math.inf
@@ -138,6 +142,11 @@ def select_dt(a) -> DtSelection:
 
 
 # --- term generation ----------------------------------------------------------
+
+
+def exp_or_inf(x: float) -> float:
+    """math.exp, with inf where the result is too large for a float."""
+    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
 
 
 def _weights_overflow(dt: float) -> DtOutOfRangeError:
@@ -182,7 +191,7 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     too large for a float raises DtOutOfRangeError.
     """
     m = as_matrix(a)
-    check_convergence(m, cfg)
+    check_convergence(m, cfg.dt, cfg.allow_dt_override)
     n = m.n
     dt = cfg.dt
     shift = math.pi / dt
@@ -203,9 +212,8 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
                         continue
                 log_mag = (_log_comb(n, l) + _log_comb(n - l, j)
                            + _log_comb(l, k) + log_pref)
-                mag = math.exp(log_mag) if log_mag <= _LOG_FLOAT_MAX else math.inf
                 phase = (1j**l) * (-1.0 if (j + k) % 2 else 1.0) * sign_n
-                weight = phase * mag
+                weight = phase * exp_or_inf(log_mag)
                 if halved:
                     weight *= 2.0
                 if not cmath.isfinite(weight):
@@ -231,21 +239,16 @@ def finite_difference_bound(a, dt: float) -> float:
     """
     m = as_matrix(a)
     n = m.n
-    if m.is_real:
-        h = m.norms.ising_norm
-        if h == 0.0:
-            return 0.0
-        log_bound = ((n + 2) * math.log(h) + math.log(n / 24.0) + 2.0 * math.log(dt)
-                     - math.lgamma(n + 1))
-        return math.exp(log_bound)
-    ha = m.norms.ising_norm
-    hb = float(np.abs(m.real_part).sum())
-    hc = float(np.abs(m.imag_part).sum())
-    if ha == 0.0:
+    h = m.norms.ising_norm
+    if h == 0.0:
         return 0.0
-    log_bound = ((n - 1) * math.log(ha) + math.log(hb**3 + hc**3)
-                 + math.log(n / 24.0) + 2.0 * math.log(dt) - math.lgamma(n + 1))
-    return math.exp(log_bound)
+    if m.is_real:
+        log_norms = (n + 2) * math.log(h)
+    else:
+        hb = float(np.abs(m.real_part).sum())
+        hc = float(np.abs(m.imag_part).sum())
+        log_norms = (n - 1) * math.log(h) + math.log(hb**3 + hc**3)
+    return math.exp(log_norms + math.log(n / 24.0) + 2.0 * math.log(dt) - math.lgamma(n + 1))
 
 
 # --- recombination and extrapolation ------------------------------------------
@@ -322,34 +325,3 @@ def richardson_extrapolate(a, base_cfg: ProtocolConfig, levels: int,
                            evaluator) -> PermanentEstimate:
     """run_protocol with base_cfg's richardson_levels set to levels."""
     return run_protocol(a, replace(base_cfg, richardson_levels=levels), evaluator)
-
-
-# --- direct operator expectation ----------------------------------------------
-
-
-def glynn_kan_operator_expectation(a) -> PermanentEstimate:
-    """Per(A) as <phi|P H(A)^N|phi> / N! on the dense 2N-qubit state.
-
-    Builds the uniform superposition over 2^{2N} basis states, applies the
-    diagonal Ising operator N times, applies the parity operator, and takes
-    the inner product with the uniform state.
-    """
-    m = as_matrix(a)
-    n = m.n
-    if n > _OPERATOR_MAX_N:
-        raise DimensionTooLargeError(
-            f"operator expectation capped at n <= {_OPERATOR_MAX_N} (state size 4^N)"
-        )
-    s = sign_matrix(2 * n)
-    x = s[:, :n]           # spins of qubits 1..N
-    xp = s[:, n:]          # spins of qubits N+1..2N
-    diag = ((xp @ m.array) * x).sum(axis=1)          # <s|H(A)|s>
-    parity = x.prod(axis=1) * xp.prod(axis=1)        # <s|P|s>
-    amp = np.full(s.shape[0], 1.0 / 2**n, dtype=np.complex128)
-    vec = amp.copy()
-    for _ in range(n):
-        vec = vec * diag
-    vec = vec * parity
-    value = complex(np.conj(amp) @ vec) / math.factorial(n)
-    return PermanentEstimate(value=value, method="operator_expectation",
-                             error_bound=0.0, wall_terms=4**n)

@@ -17,11 +17,11 @@ _SPECTRAL_DIAG_MAX_N = 8
 class SquareMatrix:
     """Immutable N x N complex matrix.
 
-    Caches the real/imaginary split and the norm triple on first use; safe
-    to share across threads.
+    Decides is_real once, at construction.  Caches the norm triple on first
+    use; safe to share across threads.
     """
 
-    __slots__ = ("_arr", "_norms")
+    __slots__ = ("_arr", "_entries", "_norms")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=np.complex128)
@@ -31,6 +31,7 @@ class SquareMatrix:
             raise InvalidInputError("matrix entries must be finite")
         arr.setflags(write=False)
         self._arr = arr
+        self._entries = arr if np.any(arr.imag) else arr.real
         self._norms = None
 
     @property
@@ -42,6 +43,11 @@ class SquareMatrix:
         return self._arr
 
     @property
+    def entries(self) -> np.ndarray:
+        """The read-only float64 entries of a real matrix, else the complex array."""
+        return self._entries
+
+    @property
     def real_part(self) -> np.ndarray:
         return np.real(self._arr)
 
@@ -51,7 +57,7 @@ class SquareMatrix:
 
     @property
     def is_real(self) -> bool:
-        return not np.any(self._arr.imag)
+        return self._entries is not self._arr
 
     @property
     def norms(self) -> "MatrixNorms":
@@ -157,6 +163,8 @@ def gaussian_stack(n: int, count: int, seed: int, kind: str = "real-standard-nor
     so E|A_jk|^2 = 1; each matrix draws its real part, then its imaginary
     part.
     """
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if kind not in _ENSEMBLE_KINDS:
@@ -206,7 +214,7 @@ def matrix_from_json(obj) -> SquareMatrix:
 def matrix_to_json(a) -> dict:
     m = as_matrix(a)
     if m.is_real:
-        rows = [[float(v) for v in row] for row in m.real_part]
+        rows = [[float(v) for v in row] for row in m.entries]
     else:
         rows = [[[float(v.real), float(v.imag)] for v in row] for row in m.array]
     return {"n": m.n, "rows": rows}

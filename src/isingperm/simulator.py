@@ -102,7 +102,7 @@ def _require_real(m) -> np.ndarray:
     sm = as_matrix(m)
     if not sm.is_real:
         raise InvalidInputError("shifted propagator matrices must be real")
-    return sm.real_part
+    return sm.entries
 
 
 def build_hadamard_test(m, dt_half: float, measure_imag: bool = False,
@@ -218,11 +218,11 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     or a repeated qubit) is one write: 2^(-k/2) on the 2^k indices whose
     other bits are 0, so a Hadamard test opens with one pass, not 2N+1.
     Each later gate, one of the six, acts in place on a view with one
-    length-2 axis per qubit it touches (see _split; built once per qubit
-    tuple): H and X on the halves where its qubit is 0 and 1, SDG on the 1
-    half, CNOT by swapping the two target slices inside the control = 1
-    half, and RZ and CRZZ by scaling only the (control = 1) slices where
-    the targets' Z parity is odd by e^(i theta).  Their common factor
+    length-2 axis per qubit it touches (see _split): H and X on the halves
+    where its qubit is 0 and 1, SDG on the 1 half, CNOT by swapping the two
+    target slices inside the control = 1 half, and RZ and CRZZ by scaling
+    only the (control = 1) slices where the targets' Z parity is odd by
+    e^(i theta).  Their common factor
     e^(-i theta/2) is deferred: the angles are collected per control qubit
     (RZ's for the whole state), and the control = 1 half is scaled once by
     e^(i fsum(angles)) just before the next H or X on that qubit or CNOT
@@ -246,25 +246,17 @@ def simulate_statevector(circ: QuantumCircuit) -> np.ndarray:
     # numpy 1.x's 32-dimension limit
     state.reshape((2,) * nq)[tuple(slice(None) if nq - 1 - a in run else 0
                                    for a in range(nq))] = math.sqrt(0.5**k)
-    views: dict[tuple[int, ...], np.ndarray] = {}
-
-    def view(qubits):
-        v = views.get(qubits)
-        if v is None:
-            v = views[qubits] = _split(state, qubits)
-        return v
-
     # the phase gates' left-out angles, per control qubit (None: uncontrolled)
     deferred: dict[int | None, list[float]] = {}
 
     def flush(q):
-        part = state if q is None else view((q,))[1]
+        part = state if q is None else _split(state, (q,))[1]
         part *= cmath.exp(1j * math.fsum(deferred.pop(q)))
 
     for g in circ.gates[k:]:
         if g.name in ("H", "X", "CNOT") and g.qubits[-1] in deferred:
             flush(g.qubits[-1])  # the gate mixes that qubit's halves
-        angle = _apply_gate(view(g.qubits), g)
+        angle = _apply_gate(_split(state, g.qubits), g)
         if angle:
             control = g.qubits[0] if g.name == "CRZZ" else None
             deferred.setdefault(control, []).append(angle)

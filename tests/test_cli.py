@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import isingperm
 from isingperm import ProtocolConfig, load_matrix, matrix_to_json, save_matrix
 from isingperm.cli import main
 
@@ -159,6 +163,23 @@ def test_exit_code_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "{dir}", "--method", "ryser"],
+    ["generate", "--n", "2", "--output", "{dir}"],
+    ["quantum", "--input", "{m}", "--manifest", "{dir}"],
+], ids=["compute-input", "generate-output", "quantum-manifest"])
+def test_unusable_file_is_an_input_error(tmp_path, argv):
+    # a fresh process, so that an uncaught error would show its traceback
+    m = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2]))
+    argv = [a.format(dir=tmp_path, m=m) for a in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isingperm.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "isingperm.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_dimension_cap(tmp_path, capsys):
     path = write_matrix(tmp_path / "big.json", np.eye(11))
     assert main(["compute", "--input", path, "--method", "naive"]) == 2
@@ -264,6 +285,13 @@ def test_generate_round_trip(tmp_path, capsys):
     assert obj["n"] == 3
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_generate_rejects_nonpositive_n(tmp_path, capsys, n):
+    assert main(["generate", "--n", n, "--output", str(tmp_path / "gen.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: n must be >= 1")
+    assert not (tmp_path / "gen.json").exists()
+
+
 def test_manifest_written(tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2]))
     manifest = tmp_path / "manifest.json"
@@ -284,6 +312,26 @@ def test_manifest_written(tmp_path, capsys):
     config = json.loads(manifest.read_text())["config"]
     assert set(config) == {f.name for f in fields(ProtocolConfig)}
     assert config["dt"] == 10.0 and config["allow_dt_override"] is True
+
+
+_MANIFEST_ARGV = {
+    "compute": ["--input", "{m}", "--method", "ryser"],
+    "quantum": ["--input", "{m}", "--dt", "0.4"],
+    "resources": ["--n", "2"],
+    "advantage": ["--n-min", "2", "--n-max", "3"],
+    "generate": ["--n", "2", "--output", "{out}"],
+    "gaussian-stat": ["--n", "3", "--trials", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_ARGV))
+def test_every_command_writes_its_manifest(tmp_path, capsys, command):
+    m = write_matrix(tmp_path / "m.json", np.diag([0.3, 0.2]))
+    manifest = tmp_path / "manifest.json"
+    argv = [command] + [a.format(m=m, out=tmp_path / "out.json") for a in _MANIFEST_ARGV[command]]
+    assert main(argv + ["--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    assert json.loads(manifest.read_text())["command"] == command
 
 
 def test_gaussian_stat_payload(capsys):

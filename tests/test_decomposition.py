@@ -8,6 +8,7 @@ from isingperm import (
     DtOutOfRangeError,
     InvalidInputError,
     ProtocolConfig,
+    check_convergence,
     convergence_dt_max,
     exact_overlap_evaluator,
     finite_difference_bound,
@@ -78,6 +79,10 @@ def test_check_convergence_raises_and_overrides():
         run_protocol(a, cfg, exact_overlap_evaluator())
     cfg = ProtocolConfig(dt=1.0, allow_dt_override=True)
     run_protocol(a, cfg, exact_overlap_evaluator())  # no raise
+    with pytest.raises(DtOutOfRangeError, match="convergence bound"):
+        check_convergence(a, 1.0)
+    check_convergence(a, 1.0, allow_override=True)
+    check_convergence(a, 2.0 / 3.0)
 
 
 def test_select_dt_small_norm_window():

@@ -86,8 +86,29 @@ def test_real_imag_reconstruction():
     assert np.array_equal(m.real_part + 1j * m.imag_part, m.array)
 
 
+def test_entries_are_read_only_and_typed_by_is_real():
+    real = SquareMatrix([[1.0, 2.0], [3.0, 4.0]])
+    cplx = SquareMatrix([[1.0, 2.0j], [3.0, 4.0]])
+    assert real.is_real and real.entries.dtype == np.float64
+    assert not cplx.is_real and cplx.entries.dtype == np.complex128
+    assert np.array_equal(real.entries, real.real_part)
+    assert np.array_equal(cplx.entries, cplx.array)
+    for m in (real, cplx):
+        assert not m.entries.flags.writeable
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            m.is_real = not m.is_real
+
+
 def test_ensemble_deterministic_under_seed():
     assert np.array_equal(matrices.gaussian_stack(2, 3, seed=7), matrices.gaussian_stack(2, 3, seed=7))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_ensemble_rejects_nonpositive_n(n):
+    with pytest.raises(InvalidInputError, match="n must be >= 1"):
+        matrices.gaussian_stack(n, 1, seed=0)
 
 
 def test_real_ensemble_mean_ising_norm():
