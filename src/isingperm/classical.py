@@ -30,7 +30,7 @@ import numpy as np
 from . import matrices
 from .accumulate import LaneSum, block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
-from .matrices import as_matrix, sign_blocks, sign_matrix
+from .matrices import as_matrix, sign_blocks, sign_matrix, sign_table
 
 _NAIVE_MAX_N = 10
 _RYSER_MAX_N = 30
@@ -40,7 +40,7 @@ _GAPP_MAX_N = 12
 _OPERATOR_MAX_N = 7
 
 
-@dataclass
+@dataclass(slots=True)
 class PermanentEstimate:
     """A permanent value together with how it was obtained.
 
@@ -155,8 +155,8 @@ def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, c
     summed correctly rounded, and so are the block sums.
     """
     n = arr.shape[0]
-    x = sign_matrix(n)[::2]
-    par_x = x.prod(axis=1)
+    table, (par, _) = sign_table(n)
+    x, par_x = table[::2], par[::2]  # x_0 = +1
     signed = []
     total = []
     # q^N and two temporaries: three 2^(N-1)-wide rows per x'
@@ -285,17 +285,18 @@ def glynn_kan_operator_expectation(a) -> PermanentEstimate:
 
     Builds the uniform superposition over 2^{2N} basis states, applies the
     diagonal Ising operator N times, applies the parity operator, and takes
-    the inner product with the uniform state.
+    the inner product with the uniform state.  The state is real for real A.
     """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _OPERATOR_MAX_N, "glynn_kan_operator_expectation")
+    arr = m.entries
     s = sign_matrix(2 * n)
     x = s[:, :n]           # spins of qubits 1..N
     xp = s[:, n:]          # spins of qubits N+1..2N
-    diag = ((xp @ m.array) * x).sum(axis=1)          # <s|H(A)|s>
+    diag = ((xp @ arr) * x).sum(axis=1)              # <s|H(A)|s>
     parity = x.prod(axis=1) * xp.prod(axis=1)        # <s|P|s>
-    amp = np.full(s.shape[0], 1.0 / 2**n, dtype=np.complex128)
+    amp = np.full(s.shape[0], 1.0 / 2**n, dtype=arr.dtype)
     vec = amp.copy()
     for _ in range(n):
         vec = vec * diag

@@ -4,7 +4,8 @@ Subcommands: compute (classical permanents), quantum (the overlap
 protocol end-to-end), resources (circuit accounting table), advantage
 (Q(N) CSV, optional ensemble case frequencies), generate (random matrix
 files), gaussian-stat (Monte-Carlo Ising-norm statistic).  Each command
-returns the fields its manifest records, and main writes the manifest.
+returns the fields its manifest records, and main writes the manifest,
+after checking before the command runs that its path can be written.
 Exit codes: 0 ok, 1 invalid input or a file that cannot be read or
 written, 2 dimension cap, 3 invalid time step.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -101,6 +103,19 @@ def _write_manifest(args, outputs=(), config: dict | None = None) -> None:
     }
     with open(args.manifest, "w", encoding="utf-8") as fh:
         fh.write(_dumps(manifest, indent=2) + "\n")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, and leave no file behind.
+
+    main checks the manifest path before the command runs, so that a run
+    whose manifest cannot be written prints no result.
+    """
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_compute(args) -> dict:
@@ -299,6 +314,8 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded in the manifest
     try:
         _check_seeds(args)
+        if args.manifest:
+            _check_writable(args.manifest)
         _write_manifest(args, **args.func(args))
         return 0
     except (InvalidInputError, OSError) as exc:

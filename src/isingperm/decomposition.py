@@ -282,9 +282,11 @@ def run_protocol(a, cfg: ProtocolConfig, evaluator) -> PermanentEstimate:
 
     error_bound is the finite-difference bound at the finest step, and in
     shots mode samples_used counts one circuit's shots per term.  extra
-    holds dt and the overlaps for a single level, and otherwise the
-    per-level estimates, the last-column residuals (a non-dt^2 signal stays
-    visible in them), base_dt and levels.
+    holds dt and the overlaps for a single level, the overlaps as one
+    float64 array in term order (an evaluator's imaginary part is dropped,
+    as recombine drops it).  A Richardson run's extra holds the per-level
+    estimates, the last-column residuals (a non-dt^2 signal stays visible in
+    them), base_dt and levels, the first two as lists.
     """
     m = as_matrix(a)
     levels = cfg.richardson_levels
@@ -293,8 +295,8 @@ def run_protocol(a, cfg: ProtocolConfig, evaluator) -> PermanentEstimate:
     for i in range(levels + 1):
         cfg_i = replace(cfg, dt=cfg.dt / 2**i)
         terms = generate_terms(m, cfg_i)
-        overlaps = [evaluator(t, cfg_i.dt / 2.0, wall_terms + k)
-                    for k, t in enumerate(terms)]
+        overlaps = np.array([evaluator(t, cfg_i.dt / 2.0, wall_terms + k)
+                             for k, t in enumerate(terms)]).real
         per_level.append(complex(recombine(terms, overlaps)))
         wall_terms += len(terms)
 

@@ -1,11 +1,12 @@
-"""Square complex matrices, their norms, the sign-vector cube and its blocked
-walk, random ensembles, and JSON I/O."""
+"""Square real or complex matrices, their norms, the sign-vector cube, its
+shared sign tables and its blocked walk, random ensembles, and JSON I/O."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -15,31 +16,46 @@ _SPECTRAL_DIAG_MAX_N = 8
 
 
 class SquareMatrix:
-    """Immutable N x N complex matrix.
+    """Immutable N x N matrix, real or complex.
 
-    Decides is_real once, at construction.  Caches the norm triple on first
+    Decides is_real once, at construction: input of a real dtype, or complex
+    input whose imaginary parts are all zero, is kept as one contiguous
+    read-only float64 array, and its complex128 array is built the first
+    time something reads it.  Caches that array and the norm triple on first
     use; safe to share across threads.
     """
 
     __slots__ = ("_arr", "_entries", "_norms")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=np.complex128)
+        arr = np.asarray(entries)
+        if arr.dtype.kind not in "biufc":
+            arr = arr.astype(np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidInputError("expected a square matrix with n >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInputError("matrix entries must be finite")
+        if np.iscomplexobj(arr) and np.any(arr.imag):
+            arr = np.array(arr, dtype=np.complex128)
+            self._arr = arr
+        else:
+            arr = np.array(arr.real, dtype=np.float64, order="C")
+            self._arr = None
         arr.setflags(write=False)
-        self._arr = arr
-        self._entries = arr if np.any(arr.imag) else arr.real
+        self._entries = arr
         self._norms = None
 
     @property
     def n(self) -> int:
-        return self._arr.shape[0]
+        return self._entries.shape[0]
 
     @property
     def array(self) -> np.ndarray:
+        """The read-only complex128 entries."""
+        if self._arr is None:
+            arr = self._entries.astype(np.complex128)
+            arr.setflags(write=False)
+            self._arr = arr
         return self._arr
 
     @property
@@ -49,15 +65,15 @@ class SquareMatrix:
 
     @property
     def real_part(self) -> np.ndarray:
-        return np.real(self._arr)
+        return np.real(self.array)
 
     @property
     def imag_part(self) -> np.ndarray:
-        return np.imag(self._arr)
+        return np.imag(self.array)
 
     @property
     def is_real(self) -> bool:
-        return self._entries is not self._arr
+        return self._entries.dtype == np.float64
 
     @property
     def norms(self) -> "MatrixNorms":
@@ -101,6 +117,23 @@ def sign_matrix(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+@cache
+def sign_table(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """sign_matrix(k) and the parity pair (par, -par) of its rows.
+
+    Built on first use and kept for the life of the process, one per k, all
+    read-only: every walk that needs a k-bit table shares it.  The kernels
+    ask for k <= 13 (sign_blocks stays at k <= 12 under _BLOCK_BYTES), so
+    the tables together take under 2 MiB.
+    """
+    low = sign_matrix(k)
+    par = low.prod(axis=1)
+    pars = par, -par
+    for table in (low, *pars):
+        table.setflags(write=False)
+    return low, pars
+
+
 # Byte budget for one block of sign-vector rows and the per-row temporaries a
 # reduction builds from it; keeps memory flat in N up to every cap.
 _BLOCK_BYTES = 1 << 20
@@ -115,17 +148,14 @@ def sign_blocks(w: np.ndarray, row_bytes: int):
     block is written into one buffer allocated once per walk: the next block
     overwrites this one, and the caller may overwrite it too.  par(X) is one
     of two read-only arrays.  The low k bits of the sign-vector index form
-    one block, built once; each block adds the signed sum of w's rows for its
-    high bits.  row_bytes is what the caller materialises per sign vector; k
-    is the largest that keeps 2^k such vectors within _BLOCK_BYTES.
+    one block, w's first k rows times sign_table(k), built once per walk;
+    each block adds the signed sum of w's rows for its high bits.  row_bytes
+    is what the caller materialises per sign vector; k is the largest that
+    keeps 2^k such vectors within _BLOCK_BYTES.
     """
     n = w.shape[0]
     k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
-    low = sign_matrix(k)
-    low_par = low.prod(axis=1)
-    pars = low_par, -low_par
-    for p in pars:
-        p.setflags(write=False)
+    low, pars = sign_table(k)
     low_w = w[:k].T @ low.T
     high_w = w[k:]
     high_bits = np.arange(n - k)

@@ -10,6 +10,7 @@ import pytest
 
 import isingperm
 from isingperm import ProtocolConfig, load_matrix, matrix_to_json, save_matrix
+from isingperm.classical import glynn_kan_operator_expectation
 from isingperm.cli import main
 
 
@@ -54,6 +55,17 @@ def test_compute_all_methods_agree(tmp_path, capsys):
             capsys, ["compute", "--input", path, "--method", method])
         assert code == 0
         assert payload["value"][0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_compute_operator_prints_the_kernel_value(tmp_path, capsys):
+    a = np.random.default_rng(72).standard_normal((5, 5))
+    path = write_matrix(tmp_path / "m.json", a)
+    code, payload = run_json(capsys, ["compute", "--input", path, "--method", "operator"])
+    assert code == 0
+    value = glynn_kan_operator_expectation(load_matrix(path)).value
+    assert payload["value"] == [value.real, value.imag]
+    expected = reference_permanent(a).real
+    assert payload["value"][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_compute_gurvits_accepts_samples(tmp_path, capsys):
@@ -176,6 +188,7 @@ def test_unusable_file_is_an_input_error(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-m", "isingperm.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 1
+    assert proc.stdout == ""  # a failed run prints no result
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 

@@ -62,6 +62,17 @@ def test_operator_expectation_matches_oracle(n):
     assert est.method == "operator_expectation"
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_operator_expectation_real_input_matches_complex(n):
+    # real input runs the 4^N state in float64; the same matrix typed complex
+    # runs it in complex128
+    a = np.random.default_rng(310 + n).standard_normal((n, n))
+    real = glynn_kan_operator_expectation(a).value
+    cplx = glynn_kan_operator_expectation(a.astype(np.complex128)).value
+    assert real.imag == 0.0
+    assert abs(real - cplx) <= 1e-15 * abs(cplx)
+
+
 # --- dt selection and convergence ------------------------------------------
 
 
@@ -333,6 +344,22 @@ def test_shot_mode_converges_to_exact():
 # --- Richardson --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_run_protocol_overlaps_are_the_evaluator_values(complex_):
+    a = small_matrix(4, 19, complex_=complex_)
+    seen = []
+    exact = exact_overlap_evaluator()
+
+    def evaluator(term, dt_half, index):
+        seen.append(exact(term, dt_half, index))
+        return seen[-1]
+
+    est = run_protocol(a, ProtocolConfig(dt=safe_dt(a)), evaluator)
+    overlaps = est.extra["overlaps"]
+    assert isinstance(overlaps, np.ndarray) and overlaps.dtype == np.float64
+    assert overlaps.tolist() == seen
+
+
 def test_richardson_level_zero_equals_plain():
     a = small_matrix(3, 13)
     cfg = ProtocolConfig(dt=safe_dt(a))
@@ -367,7 +394,7 @@ def test_run_protocol_runs_configured_levels(levels, shots):
         assert est.extra["per_level"] == rich.extra["per_level"]
         assert est.extra["levels"] == levels and est.extra["base_dt"] == base.dt
     else:
-        assert est.extra["overlaps"] == rich.extra["overlaps"]
+        assert np.array_equal(est.extra["overlaps"], rich.extra["overlaps"])
         assert est.extra["dt"] == base.dt
 
 

@@ -158,6 +158,60 @@ def test_sign_blocks_contract(n, low_bits, complex_, monkeypatch):
     assert np.array_equal(np.concatenate([cols for _, cols in blocks], axis=1), (x @ w).T)
 
 
+def test_sign_tables_are_shared_and_never_written():
+    # every exact walk takes its tables from sign_table; a kernel that wrote
+    # into one would corrupt every later call
+    from isingperm import classical, simulator
+
+    tables = {k: matrices.sign_table(k) for k in range(14)}
+    rng = np.random.default_rng(29)
+    for n in range(1, 14):
+        a = rng.standard_normal((n, n))
+        c = a + 1j * rng.standard_normal((n, n))
+        for kernel in (classical.permanent_ryser, classical.permanent_glynn,
+                       classical.permanent_glynn_kan):
+            kernel(a)
+            if n <= 9 or kernel is not classical.permanent_glynn_kan:  # 0.4 s at 13
+                kernel(c)
+        if n <= 12:
+            classical.permanent_gapp(a)
+        simulator.overlap_exact(a, 0.1)
+    for k, (low, pars) in tables.items():
+        assert matrices.sign_table(k)[0] is low
+        fresh = matrices.sign_matrix(k)
+        assert np.array_equal(low, fresh) and low.flags.c_contiguous
+        assert np.array_equal(pars[0], fresh.prod(axis=1))
+        assert np.array_equal(pars[1], -fresh.prod(axis=1))
+        for table in (low, *pars):
+            assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, -2], [3, 4]],
+    np.array([[True, False], [True, True]]),
+    np.arange(9.0).reshape(3, 3).T,
+    np.array([[1.5, -2.0j * 0], [0.25, 4.0]], dtype=np.complex128),
+    [[1.0 + 2.0j, 2.0], [-3.0, 4.0 - 1.0j]],
+], ids=["int", "bool", "float-transposed", "complex-zero-imag", "complex"])
+def test_square_matrix_keeps_its_values_at_every_input_dtype(entries):
+    # the values every input type had when all input went through complex128
+    ref = np.array(entries, dtype=np.complex128)
+    real = not np.any(ref.imag)
+    m = SquareMatrix(entries)
+    assert m.is_real == real
+    assert m.entries.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(m.entries, ref.real if real else ref)
+    if real:
+        assert m.entries.flags.c_contiguous
+    assert m.array.dtype == np.complex128 and np.array_equal(m.array, ref)
+    for arr in (m.entries, m.array):
+        assert not arr.flags.writeable
+    absa = np.abs(ref)
+    assert m.norms == matrices.MatrixNorms(two_norm=float(np.linalg.norm(ref, 2)),
+                                           one_norm=float(absa.sum(axis=0).max()),
+                                           ising_norm=float(absa.sum()))
+
+
 def test_json_round_trip_complex():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
