@@ -15,7 +15,7 @@ two ways:
   (u = 2^-53, gamma_k = k u / (1 - k u)), against u sum_b |S_b| + u|S| for
   rounding each block's sum S_b and then their total S.  A walk of one
   block is block_sum of that block, correctly rounded.
-- Any other sum of pieces (Glynn-Kan and GapP rows, Gurvits batches,
+- Any other sum of pieces (Glynn-Kan and GapP slices, Gurvits batches,
   permanent_naive chunks, recombined terms) reduces each piece, collects
   the pieces in a list, and returns one block_sum of that list.
 

@@ -2,19 +2,21 @@
 
 Exact routes: naive permutation sum, Ryser, Glynn, the double-sign-vector
 Glynn-Kan form (real or complex, (x'^T A x)^N per pair), and the GapP split
-of a real permanent into two nonnegative sums.  All but the naive sum are
-short reductions over one blocked walk of the sign-vector cube
+of a real permanent into two nonnegative sums.  Ryser and Glynn are short
+reductions over one blocked walk of the sign-vector cube
 (matrices.sign_blocks), taking each product over a sign vector's coordinates
-along contiguous rows.  Glynn's and Glynn-Kan's terms are unchanged by
-x -> -x (Glynn 2010), so those walks cover only x_0 = +1 (and x'_0 = +1):
-half of Glynn's 2^N vectors, a quarter of Glynn-Kan's 4^N pairs.  The
-unsigned Glynn-Kan total that GapP also needs changes by (-1)^N under the
-same flip, so its quarter gives the full total only at even N, which GapP
-always has after padding.
+along contiguous rows.  Glynn-Kan and GapP take their 4^N pair sum over the
+cached sign table matrices.sign_table(N), x' in slices, each slice's inner
+sums over x in one BLAS product.  Glynn's and Glynn-Kan's terms are
+unchanged by x -> -x (Glynn 2010), so those sums cover only x_0 = +1 (and
+x'_0 = +1): half of Glynn's 2^N vectors, a quarter of Glynn-Kan's 4^N
+pairs.  The unsigned Glynn-Kan total that GapP also needs changes by (-1)^N
+under the same flip, so its quarter gives the full total only at even N,
+which GapP always has after padding.
 Randomized route: the Gurvits additive-error sampler, in batches that fit the
 same block budget.  Dense check: the operator expectation <phi|P H(A)^N|phi>
-/ N! on the 4^N-entry state.  Kernels read SquareMatrix.entries, so real
-input runs in real arithmetic.
+/ N! on the 4^N-entry state, its diagonal built from the same sign table.
+Kernels read SquareMatrix.entries, so real input runs in real arithmetic.
 
 The exact evaluators double as oracles for the quantum protocol tests.
 """
@@ -30,7 +32,7 @@ import numpy as np
 from . import matrices
 from .accumulate import LaneSum, block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
-from .matrices import as_matrix, sign_blocks, sign_matrix, sign_table
+from .matrices import as_matrix, sign_blocks, sign_table
 
 _NAIVE_MAX_N = 10
 _RYSER_MAX_N = 30
@@ -125,20 +127,26 @@ def permanent_glynn(a) -> PermanentEstimate:
                              error_bound=0.0, wall_terms=1 << n)
 
 
-def _int_power(q: np.ndarray, n: int) -> np.ndarray:
+def _int_power(q: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """q ** n for an integer n >= 1 by repeated squaring; overwrites q.
 
+    Returns q itself when n is a power of two, else out, which then holds
+    the product of the powers q^(2^j) over n's set bits, lowest first.
     np.power calls pow() per element; on a 16 x 2048 block (N = 11) this
     takes about a tenth of its time.
     """
-    out = None
-    while True:
-        if n & 1:
-            out = q.copy() if out is None else np.multiply(out, q, out=out)
-        n >>= 1
-        if n == 0:
-            return out
+    while not n & 1:
         np.multiply(q, q, out=q)
+        n >>= 1
+    if n == 1:
+        return q
+    np.copyto(out, q)
+    while n > 1:
+        n >>= 1
+        np.multiply(q, q, out=q)
+        if n & 1:
+            np.multiply(out, q, out=out)
+    return out
 
 
 def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, complex | None]:
@@ -147,35 +155,55 @@ def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, c
 
     x -> -x and x' -> -x' each negate q, so q^N and par(x) par(x') both
     change by (-1)^N and a signed term is unchanged by either: the sums run
-    over the quarter of the pairs with x_0 = x'_0 = +1 (the walk covers
-    x'_1..x'_{N-1}, A's first row is the shift) and are multiplied by 4.  An
-    unsigned term q^N changes by (-1)^N, so 4 times its quarter is the full
-    total only at even N; at odd N the full total is 0.  Each x' row's signed
-    inner sum over x is formed pairwise first; the rows of a block are then
-    summed correctly rounded, and so are the block sums.
+    over the quarter of the pairs with x_0 = x'_0 = +1 and are multiplied by
+    4.  An unsigned term q^N changes by (-1)^N, so 4 times its quarter is the
+    full total only at even N; at odd N the full total is 0.
+
+    x and x' both run over the x_0 = +1 rows of the cached sign_table(N).
+    x' comes in slices sized to matrices._BLOCK_BYTES; per slice, q holds
+    one column per x' and one row per x, so the inner sums over x of every
+    column are one BLAS product with the weight rows W = par(x) (and 1 when
+    unsigned is set).  Complex arrays enter both products as their float64
+    views (re, im interleaved), so the real table is never cast to complex.
+    The x' parities then weight each slice's inner sums, which are summed
+    correctly rounded, and so are the slice sums.
     """
     n = arr.shape[0]
     table, (par, _) = sign_table(n)
     x, par_x = table[::2], par[::2]  # x_0 = +1
+    half = x.shape[0]
+    w = np.ones((1 + unsigned, half))  # weight rows: par(x), then 1 if unsigned
+    w[0] = par_x
+    a_f = np.ascontiguousarray(arr).view(np.float64)  # complex A: (N, 2N), re and im
+    # q and its N-th power: two 2^(N-1)-long columns per x', in one block,
+    # since two equal blocks freed together can make malloc hand both back
+    # to the OS, and fault them in again, on every call
+    width = min(half, max(1, matrices._BLOCK_BYTES // (2 * arr.itemsize * half)))
+    q_buf, qn_buf = np.empty((2, half * width), dtype=arr.dtype)
     signed = []
     total = []
-    # q^N and two temporaries: three 2^(N-1)-wide rows per x'
-    for par_xp, u in sign_blocks(arr[1:], 3 * arr.itemsize << (n - 1)):
-        u += arr[0][:, None]
-        qn = _int_power(u.T @ x.T, n)
-        signed.append(block_sum(par_xp * (qn * par_x).sum(axis=1)))
+    for start in range(0, half, width):
+        xp = x[start:start + width]
+        size = half * xp.shape[0]
+        y = np.ascontiguousarray((xp @ a_f).view(arr.dtype).T)  # columns A^T x'
+        q = q_buf[:size].reshape(half, -1)
+        np.matmul(x, y.view(np.float64), out=q.view(np.float64))
+        qn = _int_power(q, n, qn_buf[:size].reshape(half, -1))
+        sums = (w @ qn.view(np.float64)).view(arr.dtype)
+        signed.append(block_sum(par_x[start:start + width] * sums[0]))
         if unsigned:
-            total.append(block_sum(qn.sum(axis=1)))
+            total.append(block_sum(sums[1]))
     return 4 * block_sum(signed), 4 * block_sum(total) if unsigned else None
 
 
 def permanent_glynn_kan(a) -> PermanentEstimate:
     """Glynn-Kan double-sign-vector average of N-th powers of x'^T A x.
 
-    Both real and complex input evaluate the 4^N pair sum directly (blocked
-    walk over x', vectorized inner sum over x), raising x'^T A x to the N-th
-    power by repeated squaring.  The binomial expansion over the B and C
-    parts of A = B + iC, which the quantum protocol mirrors, lives in
+    Both real and complex input evaluate the 4^N pair sum directly (x' in
+    slices of the cached half-cube sign table, each slice's inner sums over
+    x in one BLAS product), raising x'^T A x to the N-th power by repeated
+    squaring.  The binomial expansion over the B and C parts of A = B + iC,
+    which the quantum protocol mirrors, lives in
     decomposition.generate_terms.
     """
     m = as_matrix(a)
@@ -291,12 +319,11 @@ def glynn_kan_operator_expectation(a) -> PermanentEstimate:
     n = m.n
     _check_cap(n, _OPERATOR_MAX_N, "glynn_kan_operator_expectation")
     arr = m.entries
-    s = sign_matrix(2 * n)
-    x = s[:, :n]           # spins of qubits 1..N
-    xp = s[:, n:]          # spins of qubits N+1..2N
-    diag = ((xp @ arr) * x).sum(axis=1)              # <s|H(A)|s>
-    parity = x.prod(axis=1) * xp.prod(axis=1)        # <s|P|s>
-    amp = np.full(s.shape[0], 1.0 / 2**n, dtype=arr.dtype)
+    table, (par, _) = sign_table(n)
+    # basis index x + 2^N x': rows x' (qubits N+1..2N), columns x (qubits 1..N)
+    diag = ((table @ arr) @ table.T).ravel()         # <s|H(A)|s>
+    parity = np.outer(par, par).ravel()              # <s|P|s>
+    amp = np.full(diag.shape[0], 1.0 / 2**n, dtype=arr.dtype)
     vec = amp.copy()
     for _ in range(n):
         vec = vec * diag

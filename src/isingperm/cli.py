@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import __version__
@@ -39,7 +40,7 @@ from .classical import (
 )
 from .decomposition import ProtocolConfig, run_protocol, select_dt
 from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
-from .matrices import gaussian_stack, load_matrix, save_matrix
+from .matrices import gaussian_batches, gaussian_stack, load_matrix, save_matrix
 from .simulator import exact_overlap_evaluator, hoeffding_shots, shot_overlap_evaluator
 
 # exit code of each error main reports, most specific class first (0: success)
@@ -206,8 +207,10 @@ def _cmd_advantage(args) -> dict:
         header += [f"frac_{lab}" for lab in labels]
         freq_rows = []
         for n, _ in rows:
-            found = advantage_labels(gaussian_stack(n, trials, seed + n))
-            freq_rows.append([found.count(lab) / trials for lab in labels])
+            found = Counter()
+            for batch in gaussian_batches(n, trials, seed + n):
+                found.update(advantage_labels(batch))
+            freq_rows.append([found[lab] / trials for lab in labels])
     print(",".join(header))
     for i, (n, q) in enumerate(rows):
         cells = [str(n), f"{q:.10f}"]

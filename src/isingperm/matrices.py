@@ -122,9 +122,11 @@ def sign_table(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """sign_matrix(k) and the parity pair (par, -par) of its rows.
 
     Built on first use and kept for the life of the process, one per k, all
-    read-only: every walk that needs a k-bit table shares it.  The kernels
-    ask for k <= 13 (sign_blocks stays at k <= 12 under _BLOCK_BYTES), so
-    the tables together take under 2 MiB.
+    read-only: every walk that needs a k-bit table shares it.  sign_blocks
+    asks for its low block height, k <= 12 under _BLOCK_BYTES; Glynn-Kan and
+    GapP for their dimension, k <= 13, x and x' both reading its x_0 = +1
+    half; the operator expectation for its dimension, k <= 7.  So the tables
+    together take under 2 MiB.
     """
     low = sign_matrix(k)
     par = low.prod(axis=1)
@@ -186,12 +188,23 @@ _ENSEMBLE_KINDS = ("real-standard-normal", "complex-standard-normal")
 
 def gaussian_stack(n: int, count: int, seed: int, kind: str = "real-standard-normal") -> np.ndarray:
     """Draw `count` i.i.d. Gaussian n x n matrices as one (count, n, n)
-    complex128 array, deterministic under seed.
+    complex128 array, deterministic under seed: gaussian_batches joined.
 
     real-standard-normal: each entry N(0, 1).
     complex-standard-normal: real and imaginary parts each N(0, 1/2),
     so E|A_jk|^2 = 1; each matrix draws its real part, then its imaginary
     part.
+    """
+    return np.concatenate(list(gaussian_batches(n, count, seed, kind)))
+
+
+def gaussian_batches(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
+    """gaussian_stack(n, count, seed, kind) as an iterator of consecutive
+    (b, n, n) complex128 pieces of whole matrices, each within _BLOCK_BYTES.
+
+    The pieces come from one generator, drawn in order, so joined they equal
+    the one-shot draw bit for bit.  A draw too large for numpy to index as
+    one array (count n^2 normals, twice that for complex) is rejected.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -199,10 +212,19 @@ def gaussian_stack(n: int, count: int, seed: int, kind: str = "real-standard-nor
         raise InvalidInputError("count must be >= 1")
     if kind not in _ENSEMBLE_KINDS:
         raise InvalidInputError(f"unknown ensemble kind {kind!r}")
+    parts = 1 if kind == "real-standard-normal" else 2
+    if count * parts * n * n > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"{count} draws of {n} x {n} matrices are too many to index")
     rng = np.random.default_rng(seed)
-    if kind == "real-standard-normal":
-        return rng.standard_normal((count, n, n)).astype(np.complex128)
-    draw = rng.standard_normal((count, 2, n, n))
+    # per matrix: its float64 draw and its complex128 entries
+    batch = min(count, max(1, _BLOCK_BYTES // ((8 * parts + 16) * n * n)))
+    sizes = (min(batch, count - done) for done in range(0, count, batch))
+    if parts == 1:
+        return (rng.standard_normal((b, n, n)).astype(np.complex128) for b in sizes)
+    return (_complex_pairs(rng.standard_normal((b, 2, n, n))) for b in sizes)
+
+
+def _complex_pairs(draw: np.ndarray) -> np.ndarray:
     return (draw[:, 0] + 1j * draw[:, 1]) / math.sqrt(2)
 
 

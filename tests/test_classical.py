@@ -111,8 +111,10 @@ def _abs_term_sum(kernel, a):
     return (q**n).sum() / (math.factorial(n) * 4**n)
 
 
-# At the 1 MiB block budget these sizes make every sign-vector walk span
-# several blocks.
+# At the 1 MiB block budget these sizes make every Ryser and Glynn walk span
+# several blocks, and every Glynn-Kan and GapP call but real N = 9 and
+# complex N = 8 (one slice each) several x' slices;
+# test_pair_sums_independent_of_slicing covers one, two and several slices.
 @pytest.mark.parametrize("kernel, n, complex_", [
     ("ryser", 14, False), ("ryser", 13, True),
     ("glynn", 14, False), ("glynn", 13, True),
@@ -147,6 +149,34 @@ def test_walks_independent_of_block_size(seed, monkeypatch):
                        overlap_exact(0.1 * a, 0.7).value))
     assert repr(values[0]) == repr(values[1])  # repr tells every float apart, -0.0 included
     assert values[0][:2] == (want, want)
+
+
+@pytest.mark.parametrize("kernel, complex_", [
+    ("glynn_kan", False), ("glynn_kan", True), ("gapp", False)])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_pair_sums_independent_of_slicing(n, kernel, complex_, monkeypatch):
+    # entries in -1..1 keep every pair term q^N, and so every partial sum in
+    # any order, an integer below 2^53 (checked), so every slicing of the x'
+    # half cube must give the exact permanent
+    rng = np.random.default_rng(60 + n + 10 * complex_)
+    a = rng.integers(-1, 2, (n, n)).astype(float)
+    if complex_:
+        a = a + 1j * rng.integers(-1, 2, (n, n))
+    m = n + (kernel == "gapp" and n % 2)  # GapP pads odd N by one
+    padded = np.eye(m, dtype=a.dtype)
+    padded[:n, :n] = a
+    s = _sign_cube(m)
+    assert (np.abs(s @ padded @ s.T) ** m).sum() < 2.0**53
+    want = complex(*exact_integer_permanent(a))
+    method = permanent_glynn_kan if kernel == "glynn_kan" else permanent_gapp
+    half = 1 << (m - 1)
+    col_bytes = 2 * a.itemsize * half  # q and its power: two columns per x'
+    values = [method(a).value]
+    for slices in (1, 2, half):
+        monkeypatch.setattr(matrices, "_BLOCK_BYTES", half // slices * col_bytes)
+        values.append(method(a).value)
+    assert len(set(map(repr, values))) == 1, values
+    assert values[0] == want
 
 
 # N = 1 leaves the half-cube walks an empty sign vector; N = 2, 3 cover even

@@ -286,6 +286,34 @@ def test_advantage_ensemble_columns(capsys):
     assert sum(fracs) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_advantage_ensemble_too_large_is_an_input_error(capsys):
+    # TRIALS x N^2 beyond np.intp: one error line, not a numpy traceback
+    assert main(["advantage", "--n-min", "2", "--n-max", "3",
+                 "--ensemble", "99999999999999999999999", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 14])
+def test_advantage_ensemble_rows_equal_one_shot_draw(capsys, monkeypatch, block_bytes):
+    # the ensemble is drawn in batches; its rows must equal the labels of
+    # one (TRIALS, N, N) draw per N (16 KiB: 4 to 42 matrices per batch)
+    from isingperm import matrices
+    from isingperm.analysis import advantage_labels
+
+    if block_bytes is not None:
+        monkeypatch.setattr(matrices, "_BLOCK_BYTES", block_bytes)
+    assert main(["advantage", "--n-min", "4", "--n-max", "12", "--ensemble", "500", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    labels = ("case1", "case2", "case3", "no_advantage")
+    for n, row in zip(range(4, 13), rows):
+        draw = np.random.default_rng(7 + n).standard_normal((500, n, n))
+        found = advantage_labels(draw.astype(np.complex128))
+        assert row.split(",")[2:] == [f"{found.count(lab) / 500:.6f}" for lab in labels]
+
+
 def test_generate_round_trip(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert main(["generate", "--n", "3", "--seed", "5", "--scale", "0.25",

@@ -105,6 +105,21 @@ def test_ensemble_deterministic_under_seed():
     assert np.array_equal(matrices.gaussian_stack(2, 3, seed=7), matrices.gaussian_stack(2, 3, seed=7))
 
 
+@pytest.mark.parametrize("kind", ["real-standard-normal", "complex-standard-normal"])
+def test_ensemble_batches_equal_one_shot_draw(kind, monkeypatch):
+    monkeypatch.setattr(matrices, "_BLOCK_BYTES", 1 << 12)  # 8 or 10 matrices per batch
+    batches = list(matrices.gaussian_batches(4, 50, seed=3, kind=kind))
+    assert len(batches) > 1
+    rng = np.random.default_rng(3)
+    if kind == "real-standard-normal":
+        want = rng.standard_normal((50, 4, 4)).astype(np.complex128)
+    else:
+        draw = rng.standard_normal((50, 2, 4, 4))
+        want = (draw[:, 0] + 1j * draw[:, 1]) / math.sqrt(2)
+    assert np.array_equal(np.concatenate(batches), want)
+    assert np.array_equal(matrices.gaussian_stack(4, 50, seed=3, kind=kind), want)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_ensemble_rejects_nonpositive_n(n):
     with pytest.raises(InvalidInputError, match="n must be >= 1"):
