@@ -19,6 +19,13 @@ two ways:
   permanent_naive chunks, recombined terms) reduces each piece, collects
   the pieces in a list, and returns one block_sum of that list.
 
+One inner sum is not rounded this way: Glynn-Kan and GapP take each x'
+column's sum over the 2^(N-1) vectors x in one BLAS product, whose worst-case
+error grows like 2^(N-1) u sum|terms| against about (N-1) u for a pairwise
+sum.  That product is what makes the 4^N kernels fast; on integer matrices at
+N = 11 to 13 the measured error stays below 0.02 u sum|terms|, and the test
+suite checks 16 u sum|terms| up to N = 12.
+
 Works for float and complex.
 """
 

@@ -40,7 +40,7 @@ from .classical import (
 )
 from .decomposition import ProtocolConfig, run_protocol, select_dt
 from .errors import DimensionTooLargeError, DtOutOfRangeError, InvalidInputError
-from .matrices import gaussian_batches, gaussian_stack, load_matrix, save_matrix
+from .matrices import gaussian_batches, load_matrix, save_matrix
 from .simulator import exact_overlap_evaluator, hoeffding_shots, shot_overlap_evaluator
 
 # exit code of each error main reports, most specific class first (0: success)
@@ -221,7 +221,8 @@ def _cmd_advantage(args) -> dict:
 
 
 def _cmd_generate(args) -> dict:
-    save_matrix(args.scale * gaussian_stack(args.n, 1, args.seed, kind=args.kind)[0], args.output)
+    save_matrix(args.scale * next(gaussian_batches(args.n, 1, args.seed, kind=args.kind))[0],
+                args.output)
     print(args.output)
     return {"outputs": [args.output]}
 

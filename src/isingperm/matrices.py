@@ -186,21 +186,15 @@ def ising_diag_spectral_norm(a) -> float:
 _ENSEMBLE_KINDS = ("real-standard-normal", "complex-standard-normal")
 
 
-def gaussian_stack(n: int, count: int, seed: int, kind: str = "real-standard-normal") -> np.ndarray:
-    """Draw `count` i.i.d. Gaussian n x n matrices as one (count, n, n)
-    complex128 array, deterministic under seed: gaussian_batches joined.
+def gaussian_batches(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
+    """Draw `count` i.i.d. Gaussian n x n matrices, deterministic under seed,
+    as an iterator of consecutive (b, n, n) complex128 pieces of whole
+    matrices, each within _BLOCK_BYTES.
 
     real-standard-normal: each entry N(0, 1).
     complex-standard-normal: real and imaginary parts each N(0, 1/2),
     so E|A_jk|^2 = 1; each matrix draws its real part, then its imaginary
     part.
-    """
-    return np.concatenate(list(gaussian_batches(n, count, seed, kind)))
-
-
-def gaussian_batches(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
-    """gaussian_stack(n, count, seed, kind) as an iterator of consecutive
-    (b, n, n) complex128 pieces of whole matrices, each within _BLOCK_BYTES.
 
     The pieces come from one generator, drawn in order, so joined they equal
     the one-shot draw bit for bit.  A draw too large for numpy to index as

@@ -107,20 +107,27 @@ def _abs_term_sum(kernel, a):
         a[n, n] = 1.0
         n += 1
     s = _sign_cube(n)
-    q = np.abs(s @ a.real @ s.T) + np.abs(s @ a.imag @ s.T)
-    return (q**n).sum() / (math.factorial(n) * 4**n)
+    s_re, s_im = s @ a.real, s @ a.imag
+    total = 0.0
+    for k in range(0, len(s), 256):  # 256 x' rows at a time: 8 MiB per array at N = 12
+        q = np.abs(s_re[k:k + 256] @ s.T) + np.abs(s_im[k:k + 256] @ s.T)
+        total += (q**n).sum()
+    return total / (math.factorial(n) * 4**n)
 
 
 # At the 1 MiB block budget these sizes make every Ryser and Glynn walk span
 # several blocks, and every Glynn-Kan and GapP call but real N = 9 and
 # complex N = 8 (one slice each) several x' slices;
 # test_pair_sums_independent_of_slicing covers one, two and several slices.
+# Real Glynn-Kan at N = 11, 12 and GapP at N = 11 (padded to 12) check the
+# longest BLAS inner sums over x: 1024 and 2048 terms, not rounded exactly.
 @pytest.mark.parametrize("kernel, n, complex_", [
     ("ryser", 14, False), ("ryser", 13, True),
     ("glynn", 14, False), ("glynn", 13, True),
-    ("glynn_kan", 9, False), ("glynn_kan", 10, False), ("glynn_kan", 8, True),
+    ("glynn_kan", 9, False), ("glynn_kan", 10, False), ("glynn_kan", 11, False),
+    ("glynn_kan", 12, False), ("glynn_kan", 8, True),
     ("glynn_kan", 9, True), ("glynn_kan", 10, True),
-    ("gapp", 9, False), ("gapp", 10, False),
+    ("gapp", 9, False), ("gapp", 10, False), ("gapp", 11, False),
 ])
 def test_exact_methods_match_integer_oracle(kernel, n, complex_):
     rng = np.random.default_rng(n + 100 * complex_)

@@ -1,6 +1,6 @@
 """Per-call cost of each exact permanent kernel, checked against Ryser.
 
-    python3 tools/kernel_costs.py SRC --n 4 6 8 [--repeats K] [--kernels NAME ...]
+    python3 tools/kernel_costs.py SRC --n 4 6 8 [--repeats K]
 
 SRC is the ``src/`` directory of the checkout to time.  For each N and each
 exact kernel the script makes one untimed call (it fills the cached sign
@@ -8,9 +8,7 @@ tables and gives the value checked), then K timed calls, and reports the
 fastest, with one BLAS thread.  Every value is checked against Ryser on the
 same matrix before its time is kept: a kernel that reads more than 1e-10
 relative from it gets no time, and the script exits 1.  A kernel whose cap
-is below N is listed as capped.  --kernels keeps only the named kernels
-(naive, ryser, glynn, glynn_kan, gapp, operator); Ryser's check runs
-either way.  The result is one JSON object on stdout.
+is below N is listed as capped.  The result is one JSON object on stdout.
 
 The inputs have entries uniform in [0, 1) (real and imaginary parts alike),
 so no kernel's sum cancels and 1e-10 is far above any kernel's roundoff.
@@ -57,8 +55,6 @@ def main(argv=None) -> int:
     parser.add_argument("src", help="the src/ directory holding the isingperm package")
     parser.add_argument("--n", type=int, nargs="+", required=True, help="dimensions to time")
     parser.add_argument("--repeats", type=int, default=5, help="timed calls per kernel and N")
-    parser.add_argument("--kernels", nargs="+", choices=sorted({k[0] for k in _KERNELS}),
-                        help="time only these kernels (default: all)")
     args = parser.parse_args(argv)
     if args.repeats < 1 or min(args.n) < 1:
         parser.error("--repeats and every --n must be >= 1")
@@ -77,8 +73,6 @@ def main(argv=None) -> int:
         inputs = {"real": real, "complex": real + 1j * rng.random((n, n))}
         refs = {}
         for name, func, field in _KERNELS:
-            if args.kernels and name not in args.kernels:
-                continue
             fn = getattr(classical, func)
             a = inputs[field]
             row = {"kernel": name, "field": field, "n": n}
