@@ -96,9 +96,10 @@ def advantage_labels(stack: np.ndarray) -> list[str]:
     """advantage_classify's label for each matrix of a (count, N, N) stack.
 
     The norms come from one batched SVD and one batched |A| sum over the
-    complex128 stack, the same values MatrixNorms holds for each matrix.
+    stack as it is, float64 or complex128, the same values MatrixNorms holds
+    for each matrix.
     """
-    stack = np.asarray(stack, dtype=np.complex128)
+    stack = np.asarray(stack)
     n = stack.shape[-1]
     two = np.linalg.norm(stack, 2, axis=(1, 2))
     ising = np.abs(stack).sum(axis=(1, 2))
@@ -200,21 +201,17 @@ def gaussian_norm_statistic(n: int, trials: int, seed: int) -> GaussianNormStats
     smallest integer order k with 2e sqrt(2/pi) < (n/2)^{k-1}; no finite k
     exists for n <= 2.
 
-    The draws are one consecutive stream, taken in batches of whole matrices
-    that fit matrices._BLOCK_BYTES into one reused buffer; the batch sums
-    are added by one block_sum.
+    The draws are the pieces of matrices.gaussian_batches, each freed before
+    the next is drawn; the piece sums are added by one block_sum.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if trials < 100:
         raise InvalidInputError("trials must be >= 100")
-    rng = np.random.default_rng(seed)
-    batch = min(trials, max(1, matrices._BLOCK_BYTES // (8 * n * n)))
-    buf = np.empty(batch * n * n)
     sums = []
-    for done in range(0, trials, batch):
-        draws = rng.standard_normal(out=buf[:min(batch, trials - done) * n * n])
-        sums.append(np.abs(draws, out=draws).sum())
+    for piece in matrices.gaussian_batches(n, trials, seed):
+        sums.append(np.abs(piece, out=piece).sum())
+        del piece
     mean = block_sum(sums) / trials
     predicted = math.sqrt(2.0 / math.pi) * n * n
     lhs = 2.0 * E * math.sqrt(2.0 / math.pi)

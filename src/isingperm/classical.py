@@ -70,11 +70,14 @@ def permanent_naive(a) -> PermanentEstimate:
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _NAIVE_MAX_N, "permanent_naive")
-    arr = m.array
+    arr = m.entries
+    # per permutation: its tuple (a 40-byte header and n pointers) and list
+    # slot, its int64 index row and its gathered entries
+    batch_size = max(1, matrices._BLOCK_BYTES // (48 + (16 + arr.itemsize) * n))
     rows = np.arange(n)
     perms = permutations(range(n))
     sums = []
-    while batch := list(islice(perms, 65536)):
+    while batch := list(islice(perms, batch_size)):
         sums.append(arr[rows, np.array(batch)].prod(axis=1).sum())
     return PermanentEstimate(value=complex(block_sum(sums)), method="naive",
                              error_bound=0.0, wall_terms=math.factorial(n))

@@ -169,11 +169,6 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _shifted(coef_b: float, coef_c: float, b: np.ndarray, c: np.ndarray,
-             shift: float) -> SquareMatrix:
-    return SquareMatrix(coef_b * b + coef_c * c + shift * np.eye(b.shape[0]))
-
-
 def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     """Overlap terms whose weighted sum approximates Per(A).
 
@@ -181,7 +176,8 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     matrices (N-l-2j) B + (l-2k) C + (pi/dt) I; the parity operator is
     absorbed into the diagonal shift.  Real input is the l = 0 slice, since
     C = 0 makes every l >= 1 term vanish: the N+1 binomial terms (0, j, 0)
-    with matrices (N-2j) B + (pi/dt) I.  The time-reversal partner of
+    with matrices (N-2j) B + (pi/dt) I, float64 like A's entries and with
+    no C term.  (pi/dt) I is built once per call.  The time-reversal partner of
     (l, j, k) is (l, N-l-j, l-k); with halving only the lesser of each pair
     is emitted, flagged and with doubled weight, and the self-paired terms,
     whose overlaps vanish identically, are dropped.
@@ -194,11 +190,11 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     check_convergence(m, cfg.dt, cfg.allow_dt_override)
     n = m.n
     dt = cfg.dt
-    shift = math.pi / dt
+    shift_i = (math.pi / dt) * np.eye(n)
     log_pref = log_weight_scale(n, dt)
     sign_n = -1.0 if n % 2 else 1.0
-    b = m.real_part
-    c = m.imag_part
+    b = m.entries.real
+    c = None if m.is_real else m.entries.imag
     terms: list[OverlapTerm] = []
     halved = cfg.halve_by_time_reversal
     for l in range(1 if m.is_real else n + 1):
@@ -218,8 +214,13 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
                     weight *= 2.0
                 if not cmath.isfinite(weight):
                     raise _weights_overflow(dt)
+                coef_b = float(n - l - 2 * j)
+                if c is None:
+                    shifted = coef_b * b + shift_i
+                else:
+                    shifted = coef_b * b + float(l - 2 * k) * c + shift_i
                 terms.append(OverlapTerm(
-                    matrix=_shifted(float(n - l - 2 * j), float(l - 2 * k), b, c, shift),
+                    matrix=SquareMatrix(shifted),
                     weight=weight,
                     indices=(l, j, k),
                     uses_conjugate_pair=halved,
@@ -245,8 +246,8 @@ def finite_difference_bound(a, dt: float) -> float:
     if m.is_real:
         log_norms = (n + 2) * math.log(h)
     else:
-        hb = float(np.abs(m.real_part).sum())
-        hc = float(np.abs(m.imag_part).sum())
+        hb = float(np.abs(m.entries.real).sum())
+        hc = float(np.abs(m.entries.imag).sum())
         log_norms = (n - 1) * math.log(h) + math.log(hb**3 + hc**3)
     return math.exp(log_norms + math.log(n / 24.0) + 2.0 * math.log(dt) - math.lgamma(n + 1))
 

@@ -20,12 +20,12 @@ class SquareMatrix:
 
     Decides is_real once, at construction: input of a real dtype, or complex
     input whose imaginary parts are all zero, is kept as one contiguous
-    read-only float64 array, and its complex128 array is built the first
-    time something reads it.  Caches that array and the norm triple on first
-    use; safe to share across threads.
+    read-only float64 array, any other input as a complex128 one.  That
+    array, entries, is the only one it holds; every reader takes it as it
+    is.  Caches the norm triple on first use; safe to share across threads.
     """
 
-    __slots__ = ("_arr", "_entries", "_norms")
+    __slots__ = ("_entries", "_norms")
 
     def __init__(self, entries):
         arr = np.asarray(entries)
@@ -37,10 +37,8 @@ class SquareMatrix:
             raise InvalidInputError("matrix entries must be finite")
         if np.iscomplexobj(arr) and np.any(arr.imag):
             arr = np.array(arr, dtype=np.complex128)
-            self._arr = arr
         else:
             arr = np.array(arr.real, dtype=np.float64, order="C")
-            self._arr = None
         arr.setflags(write=False)
         self._entries = arr
         self._norms = None
@@ -50,26 +48,9 @@ class SquareMatrix:
         return self._entries.shape[0]
 
     @property
-    def array(self) -> np.ndarray:
-        """The read-only complex128 entries."""
-        if self._arr is None:
-            arr = self._entries.astype(np.complex128)
-            arr.setflags(write=False)
-            self._arr = arr
-        return self._arr
-
-    @property
     def entries(self) -> np.ndarray:
-        """The read-only float64 entries of a real matrix, else the complex array."""
+        """The read-only entries: float64 for a real matrix, else complex128."""
         return self._entries
-
-    @property
-    def real_part(self) -> np.ndarray:
-        return np.real(self.array)
-
-    @property
-    def imag_part(self) -> np.ndarray:
-        return np.imag(self.array)
 
     @property
     def is_real(self) -> bool:
@@ -101,7 +82,7 @@ class MatrixNorms:
 
 def norms(a) -> MatrixNorms:
     """All three norms of a square matrix."""
-    arr = as_matrix(a).array
+    arr = as_matrix(a).entries
     absa = np.abs(arr)
     return MatrixNorms(
         two_norm=float(np.linalg.norm(arr, 2)),
@@ -136,8 +117,10 @@ def sign_table(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return low, pars
 
 
-# Byte budget for one block of sign-vector rows and the per-row temporaries a
-# reduction builds from it; keeps memory flat in N up to every cap.
+# Byte budget for one block of rows (sign vectors, samples, permutations or
+# drawn matrices) and the per-row temporaries a reduction builds from it;
+# every blocked loop sizes its blocks from it, so its memory stays flat in
+# the row count.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -153,15 +136,18 @@ def sign_blocks(w: np.ndarray, row_bytes: int):
     one block, w's first k rows times sign_table(k), built once per walk;
     each block adds the signed sum of w's rows for its high bits.  row_bytes
     is what the caller materialises per sign vector; k is the largest that
-    keeps 2^k such vectors within _BLOCK_BYTES.
+    keeps 2^k such vectors within _BLOCK_BYTES.  The low block and the
+    yielded one share one allocation, since two equal blocks freed together
+    can make malloc hand both back to the OS, and fault them in again, on
+    every call.
     """
     n = w.shape[0]
     k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
     low, pars = sign_table(k)
-    low_w = w[:k].T @ low.T
+    low_w, cols = np.empty((2, w.shape[1], 1 << k), dtype=np.result_type(w, low))
+    np.matmul(w[:k].T, low.T, out=low_w)
     high_w = w[k:]
     high_bits = np.arange(n - k)
-    cols = np.empty_like(low_w)
     for h in range(1 << (n - k)):
         bits = (h >> high_bits) & 1
         np.add(low_w, ((1.0 - 2.0 * bits) @ high_w)[:, None], out=cols)
@@ -180,7 +166,7 @@ def ising_diag_spectral_norm(a) -> float:
             f"exact diagonal spectral norm capped at n <= {_SPECTRAL_DIAG_MAX_N}, got {m.n}"
         )
     s = sign_matrix(m.n)
-    return float(np.abs((s @ m.array) @ s.T).max())
+    return float(np.abs((s @ m.entries) @ s.T).max())
 
 
 _ENSEMBLE_KINDS = ("real-standard-normal", "complex-standard-normal")
@@ -188,10 +174,11 @@ _ENSEMBLE_KINDS = ("real-standard-normal", "complex-standard-normal")
 
 def gaussian_batches(n: int, count: int, seed: int, kind: str = "real-standard-normal"):
     """Draw `count` i.i.d. Gaussian n x n matrices, deterministic under seed,
-    as an iterator of consecutive (b, n, n) complex128 pieces of whole
-    matrices, each within _BLOCK_BYTES.
+    as an iterator of consecutive (b, n, n) pieces of whole matrices, each
+    within _BLOCK_BYTES: float64 for the real kind, complex128 for the
+    complex kind.
 
-    real-standard-normal: each entry N(0, 1).
+    real-standard-normal: each entry N(0, 1); a piece is the draw itself.
     complex-standard-normal: real and imaginary parts each N(0, 1/2),
     so E|A_jk|^2 = 1; each matrix draws its real part, then its imaginary
     part.
@@ -210,11 +197,11 @@ def gaussian_batches(n: int, count: int, seed: int, kind: str = "real-standard-n
     if count * parts * n * n > np.iinfo(np.intp).max:
         raise InvalidInputError(f"{count} draws of {n} x {n} matrices are too many to index")
     rng = np.random.default_rng(seed)
-    # per matrix: its float64 draw and its complex128 entries
-    batch = min(count, max(1, _BLOCK_BYTES // ((8 * parts + 16) * n * n)))
+    # per matrix: its float64 draw, and for complex its complex128 entries
+    batch = min(count, max(1, _BLOCK_BYTES // ((8 if parts == 1 else 32) * n * n)))
     sizes = (min(batch, count - done) for done in range(0, count, batch))
     if parts == 1:
-        return (rng.standard_normal((b, n, n)).astype(np.complex128) for b in sizes)
+        return (rng.standard_normal((b, n, n)) for b in sizes)
     return (_complex_pairs(rng.standard_normal((b, 2, n, n))) for b in sizes)
 
 
@@ -230,7 +217,7 @@ def _complex_pairs(draw: np.ndarray) -> np.ndarray:
 
 def _parse_entry(value, row_idx: int):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return float(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
@@ -262,7 +249,7 @@ def matrix_to_json(a) -> dict:
     if m.is_real:
         rows = [[float(v) for v in row] for row in m.entries]
     else:
-        rows = [[[float(v.real), float(v.imag)] for v in row] for row in m.array]
+        rows = [[[float(v.real), float(v.imag)] for v in row] for row in m.entries]
     return {"n": m.n, "rows": rows}
 
 

@@ -159,9 +159,9 @@ def test_criterion_05_hadamard_test_exactness():
             dt = 0.5 * convergence_dt_max(a)
             terms = generate_terms(a, ProtocolConfig(dt=dt))
             for term in terms:
-                exact = overlap_exact(term.matrix.array, dt / 2.0)
+                exact = overlap_exact(term.matrix.entries, dt / 2.0)
                 for imag, want in ((False, exact.real_part), (True, exact.imag_part)):
-                    circ = build_hadamard_test(term.matrix.array, dt / 2.0,
+                    circ = build_hadamard_test(term.matrix.entries, dt / 2.0,
                                                measure_imag=imag)
                     p0 = ancilla_probability_zero(circ, ancilla=2 * n)
                     worst = max(worst, abs((2.0 * p0 - 1.0) - want))
@@ -177,12 +177,12 @@ def test_criterion_06_shot_mode_statistics():
     a = rng.standard_normal((2, 2)) * 0.3
     dt = 0.5 * convergence_dt_max(a)
     term = generate_terms(a, ProtocolConfig(dt=dt))[0]
-    exact = overlap_exact(term.matrix.array, dt / 2.0)
+    exact = overlap_exact(term.matrix.entries, dt / 2.0)
     hits = 0
     runs = 200
     for seed in range(runs):
-        re = overlap_shots(term.matrix.array, dt / 2.0, shots=shots, seed=seed)
-        im = overlap_shots(term.matrix.array, dt / 2.0, shots=shots,
+        re = overlap_shots(term.matrix.entries, dt / 2.0, shots=shots, seed=seed)
+        im = overlap_shots(term.matrix.entries, dt / 2.0, shots=shots,
                            seed=seed + 10_000, measure_imag=True)
         if (abs(re.real_part - exact.real_part) <= eps
                 and abs(im.imag_part - exact.imag_part) <= eps):

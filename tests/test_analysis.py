@@ -177,9 +177,10 @@ def test_gaussian_norm_statistic():
 
 
 def test_gaussian_norm_statistic_memory_bounded():
-    # the draws go through one buffer of matrices._BLOCK_BYTES (1 MiB), not
-    # one array of every draw and its abs (32 MB here); a first small call
-    # keeps numpy's one-time set-up out of the trace
+    # the draws come in pieces of matrices._BLOCK_BYTES (1 MiB), each freed
+    # before the next is drawn, not one array of every draw and its abs
+    # (32 MB here); a first small call keeps numpy's one-time set-up out of
+    # the trace
     gaussian_norm_statistic(2, trials=100, seed=0)
     tracemalloc.start()
     try:

@@ -399,6 +399,37 @@ def test_gurvits_memory_bounded():
     assert peak < 4 << 20
 
 
+def test_naive_memory_bounded():
+    # 40 320 permutations in batches sized to matrices._BLOCK_BYTES (1 MiB);
+    # a first small call keeps numpy's one-time set-up out of the trace
+    a = np.random.default_rng(59).standard_normal((8, 8))
+    permanent_naive(a[:2, :2])
+    tracemalloc.start()
+    try:
+        permanent_naive(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_naive_exact_at_every_batch_size(complex_, monkeypatch):
+    # entries in -2..2 at N = 6 keep every term and partial sum an integer
+    # below 2^53: one, seven and all 720 permutations per batch agree exactly
+    rng = np.random.default_rng(61)
+    a = rng.integers(-2, 3, (6, 6)).astype(float)
+    if complex_:
+        a = a + 1j * rng.integers(-2, 3, (6, 6))
+    m = matrices.SquareMatrix(a)
+    per_perm = 48 + (16 + m.entries.itemsize) * 6
+    want = permanent_ryser(a).value
+    assert want == complex(*exact_integer_permanent(a))
+    for block_bytes in (1, 7 * per_perm, 720 * per_perm):
+        monkeypatch.setattr(matrices, "_BLOCK_BYTES", block_bytes)
+        assert permanent_naive(m).value == want
+
+
 def test_empty_like_smallest_case():
     assert permanent_naive([[7.0]]).value == pytest.approx(7.0)
     assert permanent_ryser([[7.0]]).value == pytest.approx(7.0)

@@ -186,7 +186,21 @@ def test_shifted_matrices_real():
     for term in terms:
         _, j, _ = term.indices
         expected = (3 - 2 * j) * a + (math.pi / dt) * np.eye(3)
-        assert np.allclose(term.matrix.array, expected, atol=1e-12)
+        assert term.matrix.entries.dtype == np.float64
+        assert np.array_equal(term.matrix.entries, expected)
+
+
+def test_shifted_matrices_complex():
+    a = small_matrix(3, 6, complex_=True)
+    dt = safe_dt(a)
+    cfg = ProtocolConfig(dt=dt, halve_by_time_reversal=False)
+    terms = generate_terms(a, cfg)
+    assert len(terms) == sum((3 - l + 1) * (l + 1) for l in range(4))
+    for term in terms:
+        l, j, k = term.indices
+        expected = ((3 - l - 2 * j) * a.real + (l - 2 * k) * a.imag
+                    + (math.pi / dt) * np.eye(3))
+        assert np.array_equal(term.matrix.entries, expected)
 
 
 def test_time_reversal_overlap_conjugation():
@@ -197,8 +211,8 @@ def test_time_reversal_overlap_conjugation():
     terms = generate_terms(a, cfg)
     by_j = {t.indices[1]: t for t in terms}
     for j in range(4):
-        o1 = overlap_exact(by_j[j].matrix.array, dt / 2.0).value
-        o2 = overlap_exact(by_j[3 - j].matrix.array, dt / 2.0).value
+        o1 = overlap_exact(by_j[j].matrix.entries, dt / 2.0).value
+        o2 = overlap_exact(by_j[3 - j].matrix.entries, dt / 2.0).value
         assert o2 == pytest.approx(-np.conj(o1), abs=1e-12)
 
 
