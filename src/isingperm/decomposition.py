@@ -177,10 +177,10 @@ def generate_terms(a, cfg: ProtocolConfig) -> list[OverlapTerm]:
     absorbed into the diagonal shift.  Real input is the l = 0 slice, since
     C = 0 makes every l >= 1 term vanish: the N+1 binomial terms (0, j, 0)
     with matrices (N-2j) B + (pi/dt) I, float64 like A's entries and with
-    no C term.  (pi/dt) I is built once per call.  The time-reversal partner of
-    (l, j, k) is (l, N-l-j, l-k); with halving only the lesser of each pair
-    is emitted, flagged and with doubled weight, and the self-paired terms,
-    whose overlaps vanish identically, are dropped.
+    no C term; (pi/dt) I is built once per call.  The time-reversal partner
+    of (l, j, k) is (l, N-l-j, l-k); with halving only the lesser of each
+    pair is emitted, flagged and with doubled weight, and the self-paired
+    terms, whose overlaps vanish identically, are dropped.
 
     Weights are assembled in log-magnitude + phase form so the 1/(N! dt^N)
     prefactor never overflows on its own; a dt so small that a weight is
