@@ -2,17 +2,22 @@
 
 Exact routes: naive permutation sum, Ryser, Glynn, the double-sign-vector
 Glynn-Kan form (real or complex, (x'^T A x)^N per pair), and the GapP split
-of a real permanent into two nonnegative sums.  Ryser and Glynn are short
-reductions over one blocked walk of the sign-vector cube
-(matrices.sign_blocks), taking each product over a sign vector's coordinates
-along contiguous rows.  Glynn-Kan and GapP take their 4^N pair sum over the
-cached sign table matrices.sign_table(N), x' in slices, each slice's inner
-sums over x in one BLAS product.  Glynn's and Glynn-Kan's terms are
-unchanged by x -> -x (Glynn 2010), so those sums cover only x_0 = +1 (and
-x'_0 = +1): half of Glynn's 2^N vectors, a quarter of Glynn-Kan's 4^N
-pairs.  The unsigned Glynn-Kan total that GapP also needs changes by (-1)^N
-under the same flip, so its quarter gives the full total only at even N,
-which GapP always has after padding.
+of a real permanent into two nonnegative sums.  Ryser and Glynn take each
+product over a sign vector's coordinates along contiguous rows.  When their
+sign-vector cube fits one block under sign_blocks' rule (at the 1 MiB
+budget, Ryser up to N = 12 real and 11 complex, Glynn up to 13 and 12),
+every term comes from one BLAS product of A against a cached read-only
+table, one product over rows, one parity multiply and one block_sum; larger
+N takes the blocked walk of matrices.sign_blocks, which also serves
+simulator.overlap_exact.  Glynn-Kan and GapP take their 4^N pair sum over
+the cached sign table matrices.sign_table(N), x' in slices, each slice's
+inner sums over x in one BLAS product; up to N = 9 real and 8 complex one
+slice holds every x', and its sums are the result.  Glynn's and Glynn-Kan's
+terms are unchanged by x -> -x (Glynn 2010), so those sums cover only
+x_0 = +1 (and x'_0 = +1): half of Glynn's 2^N vectors, a quarter of
+Glynn-Kan's 4^N pairs.  The unsigned Glynn-Kan total that GapP also needs
+changes by (-1)^N under the same flip, so its quarter gives the full total
+only at even N, which GapP always has after padding.
 Randomized route: the Gurvits additive-error sampler, in batches that fit the
 same block budget.  Dense check: the operator expectation <phi|P H(A)^N|phi>
 / N! on the 4^N-entry state, its diagonal built from the same sign table.
@@ -23,8 +28,10 @@ The exact evaluators double as oracles for the quantum protocol tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, permutations
 
 import numpy as np
@@ -32,7 +39,7 @@ import numpy as np
 from . import matrices
 from .accumulate import LaneSum, block_sum
 from .errors import DimensionTooLargeError, InvalidInputError
-from .matrices import as_matrix, sign_blocks, sign_table
+from .matrices import as_matrix, block_height, sign_blocks, sign_table
 
 _NAIVE_MAX_N = 10
 _RYSER_MAX_N = 30
@@ -83,6 +90,58 @@ def permanent_naive(a) -> PermanentEstimate:
                              error_bound=0.0, wall_terms=math.factorial(n))
 
 
+@cache
+def _one_block_table(n: int, ryser: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The sign vectors of a one-block Ryser or Glynn sum, one per column of
+    a C-contiguous (N, 2^N or 2^(N-1)) array, and their parities; read-only.
+
+    Ryser's columns are the 0/1 subset vectors (1 + x)/2 of every row x of
+    sign_table(N), the full set first, Glynn's the x_0 = +1 rows themselves.
+    Built on first use and kept, like sign_table (together at most 1.6 MiB,
+    for every N up to the one-block limits), since a BLAS product reads a
+    contiguous table 1.5 to 2 times as fast as the transposed view of
+    sign_table's rows at N = 10 to 12.
+    """
+    table, (par, _) = sign_table(n)
+    if ryser:
+        cols = np.ascontiguousarray((1.0 + table.T) / 2)
+    else:
+        cols, par = np.ascontiguousarray(table[::2].T), np.ascontiguousarray(par[::2])
+    cols.setflags(write=False)
+    par.setflags(write=False)
+    return cols, par
+
+
+def _signed_table_product_sum(arr: np.ndarray, cols: np.ndarray, par: np.ndarray):
+    """Sum over the columns v of cols of par(v) * prod_j (arr @ v)_j, as one block.
+
+    The vectors arr @ v are one BLAS product against the read-only table;
+    complex arr enters it as its float64 view (re, im interleaved), so the
+    real table is never cast to complex, and that product is transposed so
+    that each term's product runs along contiguous rows, as in the walk.
+    """
+    if arr.dtype == np.float64:
+        rows = arr @ cols
+    else:
+        a_f = np.ascontiguousarray(arr.T).view(np.float64)
+        rows = np.ascontiguousarray((cols.T @ a_f).view(arr.dtype).T)
+    terms = rows.prod(axis=0)
+    terms *= par
+    return block_sum(terms)
+
+
+def _overflow_reads_inf(total):
+    """total, or complex(inf, nan) for a complex total that is not finite.
+
+    Input is finite, so such a total means terms overflowed; NumPy's complex
+    products of overflowed factors give inf+infj or inf+nanj, which sum to
+    nan+nanj.  The result's abs() is inf, as a real total's would be.
+    """
+    if isinstance(total, complex) and not cmath.isfinite(total):
+        return complex(math.inf, math.nan)
+    return total
+
+
 def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray):
     """Sum over sign vectors x of par(x) * prod_j (shift + x @ w)_j.
 
@@ -101,15 +160,23 @@ def _signed_row_product_sum(w: np.ndarray, shift: np.ndarray):
 def permanent_ryser(a) -> PermanentEstimate:
     """Ryser inclusion-exclusion over column subsets.
 
-    A subset is the 0/1 vector v = (1 - x)/2 of a sign vector x, so its row
-    sums are (A 1 - A x)/2 and the sign (-1)^|v| is par(x): the sum runs over
-    the same blocked sign-vector walk as Glynn, O(N 2^N) work in total.
+    A subset is the 0/1 vector v = (1 + x)/2 of a sign vector x, and its
+    sign (-1)^(N - |v|) is par(x).  When the sign-vector walk would be one
+    block, the row sums A v are one product against the cached subset
+    table, which lists the full set first: in that order math.fsum keeps
+    fewer partial sums.  Otherwise the blocked walk that Glynn uses takes
+    the row sums (A 1 - A x)/2 of v's complement, whose sign is
+    (-1)^N par(x).  O(N 2^N) work either way.
     """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _RYSER_MAX_N, "permanent_ryser")
     arr = m.entries
-    value = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1)[:, None])
+    if block_height(n, 2 * arr.itemsize * n) == n:  # the walk would be one block
+        total = _signed_table_product_sum(arr, *_one_block_table(n, True))
+    else:
+        total = (-1) ** n * _signed_row_product_sum(-0.5 * arr.T, 0.5 * arr.sum(axis=1)[:, None])
+    value = _overflow_reads_inf(total)
     return PermanentEstimate(value=complex(value), method="ryser",
                              error_bound=0.0, wall_terms=(1 << n) - 1)
 
@@ -118,14 +185,20 @@ def permanent_glynn(a) -> PermanentEstimate:
     """Glynn average of signed products over all 2^N sign vectors.
 
     A term par(x) prod_j (A x)_j is unchanged by x -> -x (both factors take
-    (-1)^N), so the sum runs over the 2^(N-1) vectors with x_0 = +1: the
-    walk covers x_1..x_{N-1} and A's first column is the shift.
+    (-1)^N), so the sum runs over the 2^(N-1) vectors with x_0 = +1.  When
+    the walk would be one block, that is one product against the x_0 = +1
+    half of the cached sign_table(N); otherwise the walk covers
+    x_1..x_{N-1} and A's first column is the shift.
     """
     m = as_matrix(a)
     n = m.n
     _check_cap(n, _GLYNN_MAX_N, "permanent_glynn")
-    w = m.entries.T
-    value = _signed_row_product_sum(w[1:], w[0][:, None]) / (1 << (n - 1))
+    arr = m.entries
+    if block_height(n - 1, 2 * arr.itemsize * n) == n - 1:  # the walk would be one block
+        total = _signed_table_product_sum(arr, *_one_block_table(n, False))
+    else:
+        total = _signed_row_product_sum(arr.T[1:], arr.T[0][:, None])
+    value = _overflow_reads_inf(total / (1 << (n - 1)))
     return PermanentEstimate(value=complex(value), method="glynn",
                              error_bound=0.0, wall_terms=1 << n)
 
@@ -151,6 +224,18 @@ def _int_power(q: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache
+def _half_cube(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x_0 = +1 rows x of sign_table(n), their parities, and the weight
+    rows (par(x), 1) of the Glynn-Kan inner sums; all read-only."""
+    table, (par, _) = sign_table(n)
+    x, par_x = table[::2], par[::2]
+    w = np.ones((2, x.shape[0]))
+    w[0] = par_x
+    w.setflags(write=False)
+    return x, par_x, w
+
+
 def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, complex | None]:
     """Pair sums over sign vectors (x, x') of par(x) par(x') q^N and, when
     unsigned is set, of q^N, with q = x'^T A x for a real or complex matrix A.
@@ -164,8 +249,10 @@ def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, c
     x and x' both run over the x_0 = +1 rows of the cached sign_table(N).
     x' comes in slices sized to matrices._BLOCK_BYTES; per slice, q holds
     one column per x' and one row per x, so the inner sums over x of every
-    column are one BLAS product with the weight rows W = par(x) (and 1 when
-    unsigned is set).  Complex arrays enter both products as their float64
+    column are one BLAS product with the cached weight rows W = par(x) (and
+    1 when unsigned is set).  When one slice holds every x', as it does up
+    to N = 9 real and N = 8 complex at the 1 MiB budget, that slice's sums
+    are the pair sums.  Complex arrays enter both products as their float64
     views (re, im interleaved), so the real table is never cast to complex.
     The x' parities then weight each slice's inner sums, which are summed
     correctly rounded, and so are the slice sums.  The inner sums themselves
@@ -173,31 +260,37 @@ def _glynn_kan_sums(arr: np.ndarray, unsigned: bool = False) -> tuple[complex, c
     states that trade-off.
     """
     n = arr.shape[0]
-    table, (par, _) = sign_table(n)
-    x, par_x = table[::2], par[::2]  # x_0 = +1
+    x, par_x, w = _half_cube(n)
+    w = w[:1 + unsigned]
     half = x.shape[0]
-    w = np.ones((1 + unsigned, half))  # weight rows: par(x), then 1 if unsigned
-    w[0] = par_x
     a_f = np.ascontiguousarray(arr).view(np.float64)  # complex A: (N, 2N), re and im
     # q and its N-th power: two 2^(N-1)-long columns per x', in one block,
     # since two equal blocks freed together can make malloc hand both back
     # to the OS, and fault them in again, on every call
     width = min(half, max(1, matrices._BLOCK_BYTES // (2 * arr.itemsize * half)))
+    if width == half:
+        q, qn = np.empty((2, half, half), dtype=arr.dtype)
+        signed, total = _slice_sums(x, par_x, x, w, a_f, q, qn)
+        return 4 * signed, 4 * total if unsigned else None
     q_buf, qn_buf = np.empty((2, half * width), dtype=arr.dtype)
-    signed = []
-    total = []
+    sums = []
     for start in range(0, half, width):
         xp = x[start:start + width]
         size = half * xp.shape[0]
-        y = np.ascontiguousarray((xp @ a_f).view(arr.dtype).T)  # columns A^T x'
-        q = q_buf[:size].reshape(half, -1)
-        np.matmul(x, y.view(np.float64), out=q.view(np.float64))
-        qn = _int_power(q, n, qn_buf[:size].reshape(half, -1))
-        sums = (w @ qn.view(np.float64)).view(arr.dtype)
-        signed.append(block_sum(par_x[start:start + width] * sums[0]))
-        if unsigned:
-            total.append(block_sum(sums[1]))
+        sums.append(_slice_sums(xp, par_x[start:start + width], x, w, a_f,
+                                q_buf[:size].reshape(half, -1), qn_buf[:size].reshape(half, -1)))
+    signed, total = zip(*sums)
     return 4 * block_sum(signed), 4 * block_sum(total) if unsigned else None
+
+
+def _slice_sums(xp, par_xp, x, w, a_f, q, qn):
+    """One x' slice's signed sum, and its unsigned sum when w has a second
+    row (else None); q and q^N, one column per x', are written into q and qn."""
+    y = np.ascontiguousarray((xp @ a_f).view(q.dtype).T)  # columns A^T x'
+    np.matmul(x, y.view(np.float64), out=q.view(np.float64))
+    qn = _int_power(q, x.shape[1], qn)
+    sums = (w @ qn.view(np.float64)).view(q.dtype)
+    return block_sum(par_xp * sums[0]), block_sum(sums[1]) if w.shape[0] > 1 else None
 
 
 def permanent_glynn_kan(a) -> PermanentEstimate:
@@ -215,7 +308,7 @@ def permanent_glynn_kan(a) -> PermanentEstimate:
     _check_cap(n, _GLYNN_KAN_MAX_N, "permanent_glynn_kan")
     scale = math.factorial(n) * 4**n
     signed, _ = _glynn_kan_sums(m.entries)
-    return PermanentEstimate(value=complex(signed / scale),
+    return PermanentEstimate(value=complex(_overflow_reads_inf(signed / scale)),
                              method="glynn_kan" if m.is_real else "glynn_kan_complex",
                              error_bound=0.0, wall_terms=4**n)
 

@@ -107,7 +107,9 @@ def sign_table(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     asks for its low block height, k <= 12 under _BLOCK_BYTES; Glynn-Kan and
     GapP for their dimension, k <= 13, x and x' both reading its x_0 = +1
     half; the operator expectation for its dimension, k <= 7.  So the tables
-    together take under 2 MiB.
+    together take under 2 MiB (1.75 MiB for every k up to 13).  The
+    classical module caches its one-block Ryser and Glynn tables and
+    Glynn-Kan weight rows the same way, at most 1.7 MiB more.
     """
     low = sign_matrix(k)
     par = low.prod(axis=1)
@@ -122,6 +124,13 @@ def sign_table(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
 # every blocked loop sizes its blocks from it, so its memory stays flat in
 # the row count.
 _BLOCK_BYTES = 1 << 20
+
+
+def block_height(n: int, row_bytes: int) -> int:
+    """The k of sign_blocks: the largest k <= n, and at least 0, for which
+    2^k rows of row_bytes each fit in _BLOCK_BYTES.  A walk of n sign bits
+    is one block when k == n."""
+    return min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
 
 
 def sign_blocks(w: np.ndarray, row_bytes: int):
@@ -142,7 +151,7 @@ def sign_blocks(w: np.ndarray, row_bytes: int):
     every call.
     """
     n = w.shape[0]
-    k = min(n, max(0, (_BLOCK_BYTES // row_bytes).bit_length() - 1))
+    k = block_height(n, row_bytes)
     low, pars = sign_table(k)
     low_w, cols = np.empty((2, w.shape[1], 1 << k), dtype=np.result_type(w, low))
     np.matmul(w[:k].T, low.T, out=low_w)

@@ -186,6 +186,44 @@ def test_pair_sums_independent_of_slicing(n, kernel, complex_, monkeypatch):
     assert values[0] == want
 
 
+# At the 1 MiB block budget one product covers the whole sum for Ryser up
+# to N = 12 real and 11 complex, Glynn up to 13 and 12, Glynn-Kan up to 9
+# and 8 and GapP up to 8 (N = 9 pads to 10); each case runs to one N past
+# that switch.  An 8-byte budget puts one sign vector in each walk block and
+# one x' in each slice, so every N >= 2 takes the walk or the slice loop.
+SWITCH_CASES = [("ryser", False, 13), ("ryser", True, 12), ("glynn", False, 14),
+                ("glynn", True, 13), ("glynn_kan", False, 10), ("glynn_kan", True, 9),
+                ("gapp", False, 9)]
+
+
+@pytest.mark.parametrize("kernel, complex_, top", SWITCH_CASES)
+def test_one_product_path_matches_walk(kernel, complex_, top, monkeypatch):
+    method = {"ryser": permanent_ryser, "glynn": permanent_glynn,
+              "glynn_kan": permanent_glynn_kan, "gapp": permanent_gapp}[kernel]
+    rng = np.random.default_rng(70 + top + 100 * complex_)
+    for n in range(1, top + 1):
+        ints = rng.integers(-3, 4, (n, n)).astype(float)
+        floats = rng.standard_normal((n, n))
+        if complex_:
+            ints = ints + 1j * rng.integers(-3, 4, (n, n))
+            floats = floats + 1j * rng.standard_normal((n, n))
+        fast = method(ints).value, method(floats).value
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "_BLOCK_BYTES", 8)
+            walked = method(ints).value, method(floats).value
+        # Ryser's and Glynn's integer terms are formed alike on both paths and
+        # summed to the correctly rounded total; Glynn-Kan's and GapP's inner
+        # sums are BLAS products whose order may move with the slice width,
+        # so theirs are equal while every partial sum is an integer below 2^53
+        m = n + (kernel == "gapp" and n % 2)
+        raw = _abs_term_sum(kernel, ints) * math.factorial(m) * 4**m
+        if kernel in ("ryser", "glynn") or raw < 2.0**53:
+            assert fast[0] == walked[0], (kernel, n)
+        else:
+            assert abs(fast[0] - walked[0]) <= 16 * U * _abs_term_sum(kernel, ints), (kernel, n)
+        assert abs(fast[1] - walked[1]) <= 16 * U * _abs_term_sum(kernel, floats), (kernel, n)
+
+
 # N = 1 leaves the half-cube walks an empty sign vector; N = 2, 3 cover even
 # and odd N, where the unsigned Glynn-Kan terms change sign under x -> -x.
 @pytest.mark.parametrize("complex_", [False, True])
@@ -213,12 +251,24 @@ def test_overflow_gives_nonfinite_value():
 
 
 def test_overflow_reads_inf_across_blocks_and_batches(monkeypatch):
-    # every term is +inf; a sum over several batches or blocks must stay inf
+    # every term is +inf; a sum over several batches or blocks must stay inf.
+    # Complex terms that overflow are inf+infj or inf+nanj and sum to
+    # nan+nanj, which the kernels report as a value of infinite modulus,
+    # from one product and from the walk or slice loop alike
+    def complex_reads_inf(method):
+        with np.errstate(invalid="ignore"):  # NumPy's complex products of infinities
+            return abs(method(1e50 * np.eye(8) + 1e-3j).value) == math.inf
+
+    complex_kernels = (permanent_ryser, permanent_glynn, permanent_glynn_kan)
     with np.errstate(over="ignore"):
         est = permanent_gurvits(1e200 * np.eye(2), samples=60_000, seed=1)  # 3 batches
         assert est.value == complex(math.inf, 0.0)
+        for method in complex_kernels:
+            assert complex_reads_inf(method), method.__name__
         monkeypatch.setattr(matrices, "_BLOCK_BYTES", 1 << 11)  # 2^4 of Glynn's 2^7 vectors
         assert permanent_glynn(1e50 * np.eye(8)).value == complex(math.inf, 0.0)
+        for method in complex_kernels:
+            assert complex_reads_inf(method), method.__name__
 
 
 def test_known_values():
